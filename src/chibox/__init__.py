@@ -91,9 +91,9 @@ from .thetagroup import (
     comb_from_bitstring,
     comb_to_table,
     element_order,
-    fixed_point_predicate,
     group_inverse,
     group_mul,
+    group_pow,
     identity_comb,
     is_involution,
     iterate_coeffs,

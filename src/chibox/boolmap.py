@@ -24,8 +24,13 @@ class NotAPermutation(ValueError):
 
 
 def _check_n(n):
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise ValueError("dimension n must be an integer in 1..%d, got %r" % (MAX_N, n))
+
+
+def dump_json(doc):
+    """The byte form of every chibox document: compact one-line JSON plus newline."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def word_from_bits(bits):
@@ -142,13 +147,17 @@ def is_permutation(f):
     return False, (int(pre[0]), int(pre[1]))
 
 
-def invert(f):
-    """Inverse table of a permutation; raises NotAPermutation otherwise."""
+def _require_permutation(f):
     ok, witness = is_permutation(f)
     if not ok:
         raise NotAPermutation(
             "inputs %d and %d both map to %d" % (witness[0], witness[1], f[witness[0]])
         )
+
+
+def invert(f):
+    """Inverse table of a permutation; raises NotAPermutation otherwise."""
+    _require_permutation(f)
     inv = np.empty(1 << f.n, dtype=np.int64)
     inv[f.entries] = np.arange(1 << f.n, dtype=np.int64)
     return TruthTable(f.n, inv)
@@ -183,11 +192,7 @@ class CycleReport:
 
 
 def cycle_structure(f):
-    ok, witness = is_permutation(f)
-    if not ok:
-        raise NotAPermutation(
-            "inputs %d and %d both map to %d" % (witness[0], witness[1], f[witness[0]])
-        )
+    _require_permutation(f)
     ent = f.entries
     seen = np.zeros(1 << f.n, dtype=bool)
     counts = {}
@@ -297,7 +302,7 @@ def table_to_json(f, family=""):
         "family": family,
         "entries": [format(int(y), "0%dx" % width) for y in f.entries],
     }
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+    return dump_json(doc)
 
 
 def table_from_json(text):

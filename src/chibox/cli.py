@@ -14,12 +14,11 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import boolmap, cost, families, metrics, thetagroup
-from .boolmap import NotAPermutation
+from .boolmap import NotAPermutation, dump_json
 from .families import FamilyParseError
 
 
@@ -48,10 +47,6 @@ HEADLINE_LABEL = {
 }
 
 
-def _dump(doc):
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
-
-
 def _write_out(path, text):
     try:
         with open(path, "w") as fh:
@@ -60,16 +55,17 @@ def _write_out(path, text):
         raise FileFormatError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _load_table_file(path):
+def _load_file(path, parse, what):
+    """parse applied to the text of path; unreadable or malformed files are FileFormatErrors."""
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError("cannot read %s: %s" % (path, exc)) from exc
     try:
-        return boolmap.table_from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError("bad truth-table document %s: %s" % (path, exc)) from exc
+        return parse(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError("bad %s %s: %s" % (what, path, exc)) from exc
 
 
 def _resolve_target(target):
@@ -78,7 +74,7 @@ def _resolve_target(target):
         fs = families.parse_family(target)
     except FamilyParseError:
         if os.path.exists(target):
-            return _load_table_file(target)
+            return _load_file(target, boolmap.table_from_json, "truth-table document")
         if os.sep in target or (os.altsep and os.altsep in target):
             raise FileFormatError("cannot read %s: no such file" % (target,)) from None
         raise
@@ -91,6 +87,13 @@ def _bitstring(word, n):
 
 def _hexword(word, n):
     return format(word, "0%dx" % ((n + 3) // 4))
+
+
+def _table_output(args, doc, lines, table, family):
+    """A command result whose -o document is the truth table, not the report."""
+    if args.output:
+        lines.append("wrote: %s" % args.output)
+    return doc, "\n".join(lines) + "\n", lambda: boolmap.table_to_json(table, family)
 
 
 def cmd_construct(args):
@@ -108,10 +111,6 @@ def cmd_construct(args):
         "degree": degree,
         "entries": [_hexword(y, table.n) for y in table.entries],
     }
-    if args.output:
-        _write_out(args.output, boolmap.table_to_json(table, family))
-    if args.format == "structured":
-        return _dump(doc)
     lines = [
         "family: %s" % family,
         "n: %d" % table.n,
@@ -127,64 +126,45 @@ def cmd_construct(args):
             )
         )
     lines.append("degree: %s" % ("undefined" if degree is None else degree))
-    if args.output:
-        lines.append("wrote: %s" % args.output)
-    return "\n".join(lines) + "\n"
+    return _table_output(args, doc, lines, table, family)
 
 
-def _metric_reports(table, family, selected):
+def _metric_reports(table, selected):
+    """(document, text line) of every selected metric, in METRIC_ORDER."""
     reports = []
     for name in METRIC_ORDER:
         if name not in selected:
             continue
         if name in SPECTRUM_FOR:
             rep = SPECTRUM_FOR[name](table)
-            reports.append(
-                {
-                    "metric": rep.metric,
-                    "n": rep.n,
-                    "headline": rep.headline,
-                    "spectrum": [[int(v), int(c)] for v, c in rep.multiset],
-                    "domain": rep.domain,
-                }
+            text = "%s: %s %d, spectrum %s" % (
+                rep.metric,
+                HEADLINE_LABEL[rep.metric],
+                rep.headline,
+                metrics.render_spectrum(rep),
             )
+            reports.append((metrics.report_doc(rep), text))
         elif name == "degree":
-            reports.append({"metric": "degree", "n": table.n, "value": boolmap.table_degree(table)})
+            value = boolmap.table_degree(table)
+            doc = {"metric": "degree", "n": table.n, "value": value}
+            reports.append((doc, "degree: %s" % ("undefined" if value is None else value)))
         elif name == "cycles":
             rep = boolmap.cycle_structure(table)
-            reports.append(
-                {
-                    "metric": "cycles",
-                    "n": table.n,
-                    "order": rep.order,
-                    "fixed_point_count": rep.fixed_point_count,
-                    "cycle_lengths": [[length, mult] for length, mult in rep.cycle_lengths],
-                }
+            doc = {
+                "metric": "cycles",
+                "n": table.n,
+                "order": rep.order,
+                "fixed_point_count": rep.fixed_point_count,
+                "cycle_lengths": [[length, mult] for length, mult in rep.cycle_lengths],
+            }
+            lengths = ",".join("%d^%d" % (length, mult) for length, mult in rep.cycle_lengths)
+            text = "cycles: order %d, fixed points %d, lengths {%s}" % (
+                rep.order,
+                rep.fixed_point_count,
+                lengths,
             )
+            reports.append((doc, text))
     return reports
-
-
-def _render_report_text(rep):
-    metric = rep["metric"]
-    if metric == "degree":
-        value = rep["value"]
-        return "degree: %s" % ("undefined" if value is None else value)
-    if metric == "cycles":
-        lengths = ",".join("%d^%d" % (length, mult) for length, mult in rep["cycle_lengths"])
-        return "cycles: order %d, fixed points %d, lengths {%s}" % (
-            rep["order"],
-            rep["fixed_point_count"],
-            lengths,
-        )
-    spectrum = metrics.SpectrumReport(
-        metric, rep["n"], rep["headline"], tuple((v, c) for v, c in rep["spectrum"]), rep["domain"]
-    )
-    return "%s: %s %d, spectrum %s" % (
-        metric,
-        HEADLINE_LABEL[metric],
-        rep["headline"],
-        metrics.render_spectrum(spectrum),
-    )
 
 
 def cmd_analyze(args):
@@ -195,25 +175,26 @@ def cmd_analyze(args):
         if s not in METRIC_ORDER:
             raise UsageError("unknown metric %r (choose from %s)" % (s, ",".join(METRIC_ORDER)))
     table, family = _resolve_target(args.target)
-    reports = _metric_reports(table, family, set(selected))
+    reports = _metric_reports(table, set(selected))
     doc = {
         "command": "analyze",
         "family": family,
         "n": table.n,
-        "reports": reports,
+        "reports": [rep for rep, _ in reports],
     }
-    if args.output:
-        _write_out(args.output, _dump(doc))
-    if args.format == "structured":
-        return _dump(doc)
-    lines = ["family: %s" % family, "n: %d" % table.n]
-    lines.extend(_render_report_text(rep) for rep in reports)
-    return "\n".join(lines) + "\n"
+    lines = ["family: %s" % family, "n: %d" % table.n] + [text for _, text in reports]
+    return doc, "\n".join(lines) + "\n", None
+
+
+def _check_m(n, m):
+    if m < 2:
+        raise ValueError("m must be at least 2, got %d" % m)
+    if n % m == 0:
+        raise ValueError("m must not divide n, got n=%d m=%d" % (n, m))
 
 
 def cmd_group(args):
-    if args.n % args.m == 0:
-        raise ValueError("m must not divide n for group queries, got n=%d m=%d" % (args.n, args.m))
+    _check_m(args.n, args.m)
     comb = thetagroup.comb_from_bitstring(args.n, args.m, args.coeffs)
     query = args.query
     doc = {
@@ -229,14 +210,8 @@ def cmd_group(args):
         ok, _ = boolmap.is_permutation(table)
         doc["permutation"] = ok
         doc["entries"] = [_hexword(y, table.n) for y in table.entries]
-        if args.output:
-            _write_out(args.output, boolmap.table_to_json(table, family))
-        if args.format == "structured":
-            return _dump(doc)
         lines = ["family: %s" % family, "n: %d" % table.n, "permutation: %s" % ("true" if ok else "false")]
-        if args.output:
-            lines.append("wrote: %s" % args.output)
-        return "\n".join(lines) + "\n"
+        return _table_output(args, doc, lines, table, family)
     if query == "inverse":
         inv = thetagroup.group_inverse(comb)
         degree = boolmap.table_degree(thetagroup.comb_to_table(inv))
@@ -257,30 +232,16 @@ def cmd_group(args):
             k = int(query.split(":", 1)[1])
         except ValueError:
             raise UsageError("iterate needs an integer power, got %r" % (query,)) from None
-        if k < 0:
-            raise ValueError("iterate power must be non-negative")
-        acc = thetagroup.identity_comb(args.n, args.m)
-        base = comb
-        kk = k
-        while kk:
-            if kk & 1:
-                acc = thetagroup.group_mul(acc, base)
-            kk >>= 1
-            if kk:
-                base = thetagroup.group_mul(base, base)
         doc["power"] = k
-        doc["iterate"] = thetagroup.bitstring(acc)
+        doc["iterate"] = thetagroup.bitstring(thetagroup.group_pow(comb, k))
         text = "iterate %d: %s\n" % (k, doc["iterate"])
     else:
         raise UsageError("unknown group query %r" % (query,))
-    if args.output:
-        _write_out(args.output, _dump(doc))
-    return _dump(doc) if args.format == "structured" else text
+    return doc, text, None
 
 
 def cmd_fixed_points(args):
-    if args.n % args.m == 0:
-        raise ValueError("m must not divide n, got n=%d m=%d" % (args.n, args.m))
+    _check_m(args.n, args.m)
     if args.power < 0:
         raise ValueError("power must be non-negative")
     table = families.make_chi_nm(args.n, args.m)
@@ -310,54 +271,31 @@ def cmd_fixed_points(args):
         "agree": agree,
         "sample": [_hexword(w, args.n) for w in sample],
     }
-    if args.output:
-        _write_out(args.output, _dump(doc))
-    if args.format == "structured":
-        return _dump(doc)
-    lines = [
-        "fixed points of chi_{%d,%d}^%d: %d" % (args.n, args.m, k, len(points)),
-    ]
+    lines = ["fixed points of chi_{%d,%d}^%d: %d" % (args.n, args.m, k, len(points))]
     if agree is not None:
         lines.append("predicate count: %d (agreement: %s)" % (predicate_count, "yes" if agree else "NO"))
     lines.append("sample (x0 first): %s" % " ".join(_bitstring(w, args.n) for w in sample))
-    return "\n".join(lines) + "\n"
+    return doc, "\n".join(lines) + "\n", None
 
 
 def cmd_cost(args):
     template = cost.template_by_name(args.template, args.n)
     if args.gates:
-        try:
-            with open(args.gates) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise FileFormatError("cannot read %s: %s" % (args.gates, exc)) from exc
-        libs = cost.load_gate_libraries(text)
+        libs = _load_file(args.gates, cost.load_gate_libraries, "gate library")
     else:
         libs = cost.shipped_libraries()
     if args.lib not in libs:
         raise ValueError("unknown library %r (have: %s)" % (args.lib, ",".join(sorted(libs))))
-    lib = libs[args.lib]
-    area = cost.area_estimate(template, lib)
-    stages = cost.latency_stages(template)
     doc = {
         "command": "cost",
         "template": args.template,
         "n": args.n,
         "library": args.lib,
-        "area_ge": str(area),
-        "latency_stages": stages,
+        "area_ge": str(cost.area_estimate(template, libs[args.lib])),
+        "latency_stages": cost.latency_stages(template),
     }
-    if args.output:
-        _write_out(args.output, _dump(doc))
-    if args.format == "structured":
-        return _dump(doc)
-    return "template: %s\nn: %d\nlibrary: %s\narea_ge: %s\nlatency_stages: %d\n" % (
-        args.template,
-        args.n,
-        args.lib,
-        str(area),
-        stages,
-    )
+    # the text form lists the same fields, one per line
+    return doc, "".join("%s: %s\n" % (key, doc[key]) for key in list(doc)[1:]), None
 
 
 def _build_parser():
@@ -412,7 +350,12 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        out = args.func(args)
+        # each command returns its report document, its text form, and, when
+        # -o writes another document, the function that makes it (else None);
+        # a table document is made only here, so it is freed before printing
+        doc, text, document = args.func(args)
+        if args.output:
+            _write_out(args.output, document() if document else dump_json(doc))
     except (UsageError, FamilyParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -422,7 +365,7 @@ def main(argv=None):
     except (FileFormatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    sys.stdout.write(out)
+    sys.stdout.write(dump_json(doc) if args.format == "structured" else text)
     return 0
 
 

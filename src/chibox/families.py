@@ -8,11 +8,12 @@ transcribed verbatim and never wraps.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolmap import MAX_N, TruthTable, identity_table
+from .boolmap import MAX_N, TruthTable, _check_n
 
 
 class FamilyParseError(ValueError):
@@ -20,24 +21,36 @@ class FamilyParseError(ValueError):
 
 
 def _words(n):
-    if not 1 <= n <= MAX_N:
-        raise ValueError("dimension n must be in 1..%d, got %r" % (MAX_N, n))
+    _check_n(n)
     return np.arange(1 << n, dtype=np.int64)
 
 
-def _bit(x, i, n):
-    return (x >> (i % n)) & 1
+def _windowed(n, ones, zeros, linear):
+    """Table of y_i = [x_i +] prod_{t in ones} x_{i+t} prod_{t in zeros} (x_{i+t} + 1).
+
+    All coordinates at once, on rotated words; offsets wrap mod n.
+    """
+    x = _words(n)
+    y = np.full_like(x, (1 << n) - 1)
+    rot, low = np.empty_like(x), np.empty_like(x)
+    for t, flip in {(t % n, 0) for t in ones} | {(t % n, -1) for t in zeros}:
+        # bit i of rot is x_{i+t}, complemented when flip is -1
+        np.right_shift(x, t, out=rot)
+        np.left_shift(x, n - t, out=low)
+        rot |= low
+        rot ^= flip
+        y &= rot
+    del rot, low  # free the scratch words before the table copies y
+    if linear:
+        y ^= x
+    return TruthTable(n, y)
 
 
 def make_chi(n):
     """chi_n: y_i = x_i + (x_{i+1} + 1) x_{i+2}."""
     if n < 3:
         raise ValueError("chi needs n >= 3, got %r" % (n,))
-    x = _words(n)
-    y = np.zeros_like(x)
-    for i in range(n):
-        y |= (_bit(x, i, n) ^ ((_bit(x, i + 1, n) ^ 1) & _bit(x, i + 2, n))) << i
-    return TruthTable(n, y)
+    return _windowed(n, [2], [1], linear=True)
 
 
 def make_chi_nm(n, m):
@@ -48,14 +61,7 @@ def make_chi_nm(n, m):
     """
     if not (isinstance(m, int) and 2 <= m < n):
         raise ValueError("chi_nm needs n > m >= 2, got n=%r m=%r" % (n, m))
-    x = _words(n)
-    y = np.zeros_like(x)
-    for i in range(n):
-        prod = _bit(x, i + m, n)
-        for j in range(1, m):
-            prod = prod & (_bit(x, i + j, n) ^ 1)
-        y |= (_bit(x, i, n) ^ prod) << i
-    return TruthTable(n, y)
+    return _windowed(n, [m], range(1, m), linear=True)
 
 
 def make_theta(n, m, k):
@@ -69,29 +75,14 @@ def make_theta(n, m, k):
         raise ValueError("theta needs m >= 2 and k >= 0, got m=%r k=%r" % (m, k))
     if m > MAX_N or k > MAX_N:
         raise ValueError("theta parameters are capped at %d, got m=%r k=%r" % (MAX_N, m, k))
-    if k == 0:
-        return identity_table(n)
-    x = _words(n)
-    y = np.zeros_like(x)
-    for i in range(n):
-        prod = _bit(x, i + m * k, n)
-        for j in range(1, m * k):
-            if j % m:
-                prod = prod & (_bit(x, i + j, n) ^ 1)
-        y |= prod << i
-    return TruthTable(n, y)
+    return _windowed(n, [m * k], [j for j in range(1, m * k) if j % m], linear=False)
 
 
 def make_chi_prime3(n):
     """chi'_{n,3}: y_i = x_i + x_{i+1} x_{i+2} (x_{i+3} + 1)."""
     if n < 4:
         raise ValueError("chi_prime3 needs n >= 4, got %r" % (n,))
-    x = _words(n)
-    y = np.zeros_like(x)
-    for i in range(n):
-        prod = _bit(x, i + 1, n) & _bit(x, i + 2, n) & (_bit(x, i + 3, n) ^ 1)
-        y |= (_bit(x, i, n) ^ prod) << i
-    return TruthTable(n, y)
+    return _windowed(n, [1, 2], [3], linear=True)
 
 
 def make_cchi(n):
@@ -107,30 +98,23 @@ def make_cchi(n):
     if k % 2 or k < 4:
         raise ValueError("cchi needs n = 2k with k even and k >= 4, got n=%r" % (n,))
     x = _words(n)
+    y = np.array(make_chi(n).entries)  # chi's rule holds off the boundary, where no index wraps
 
     def b(i):
-        return _bit(x, i, n)
+        return (x >> i) & 1
 
     def nb(i):
-        return _bit(x, i, n) ^ 1
+        return b(i) ^ 1
 
-    y = np.zeros_like(x)
-    for i in range(n):
-        if i < k - 3 or k < i < 2 * k - 2:
-            yi = b(i) ^ (nb(i + 1) & b(i + 2))
-        elif i == k - 3:
-            yi = b(k) ^ (nb(k - 2) & b(0))
-        elif i == k - 2:
-            yi = b(k - 1) ^ (nb(0) & b(1))
-        elif i == k - 1:
-            yi = nb(k - 3) ^ (nb(k) & nb(k + 1))
-        elif i == k:
-            yi = b(k - 2) ^ (nb(k + 1) & b(k + 2))
-        elif i == 2 * k - 2:
-            yi = b(2 * k - 2) ^ (nb(2 * k - 1) & b(k - 1))
-        else:
-            yi = b(2 * k - 1) ^ (nb(k - 1) & b(k))
-        y |= yi << i
+    def put(i, yi):
+        y[:] = (y & ~(1 << i)) | (yi << i)
+
+    put(k - 3, b(k) ^ (nb(k - 2) & b(0)))
+    put(k - 2, b(k - 1) ^ (nb(0) & b(1)))
+    put(k - 1, nb(k - 3) ^ (nb(k) & nb(k + 1)))
+    put(k, b(k - 2) ^ (nb(k + 1) & b(k + 2)))
+    put(2 * k - 2, b(2 * k - 2) ^ (nb(2 * k - 1) & b(k - 1)))
+    put(2 * k - 1, b(2 * k - 1) ^ (nb(k - 1) & b(k)))
     return TruthTable(n, y)
 
 
@@ -168,25 +152,18 @@ class FamilySpec:
     parts: tuple = field(default_factory=tuple)
 
 
+def _depths(text):
+    # parenthesis nesting depth after each character
+    return list(itertools.accumulate((ch == "(") - (ch == ")") for ch in text))
+
+
 def _split_args(body):
     # split on commas at nesting depth zero
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FamilyParseError("unbalanced parentheses in %r" % (body,))
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
+    depths = _depths(body)
+    if min(depths, default=0) < 0 or body.count("(") != body.count(")"):
         raise FamilyParseError("unbalanced parentheses in %r" % (body,))
-    parts.append("".join(cur))
-    return parts
+    cuts = [i for i, ch in enumerate(body) if ch == "," and not depths[i]]
+    return [body[a + 1 : b] for a, b in zip([-1] + cuts, cuts + [len(body)])]
 
 
 def _int_field(text, what):
@@ -196,13 +173,34 @@ def _int_field(text, what):
         raise FamilyParseError("%s must be an integer, got %r" % (what, text)) from None
 
 
+# family name -> (constructor, the spec fields it takes, in spec order)
+FAMILIES = {
+    "chi": (make_chi, ("n",)),
+    "chi_nm": (make_chi_nm, ("n", "m")),
+    "theta": (make_theta, ("n", "m", "k")),
+    "chi_prime3": (make_chi_prime3, ("n",)),
+    "cchi": (make_cchi, ("n",)),
+}
+
+
+def _fields(fs):
+    if fs.family not in FAMILIES:
+        raise ValueError("unknown family %r" % (fs.family,))
+    return [getattr(fs, name) for name in FAMILIES[fs.family][1]]
+
+
 def parse_family(text):
     """Parse a spec string per the grammar.
 
     chi:<n>  chi_nm:<n>:<m>  theta:<n>:<m>:<k>  chi_prime3:<n>  cchi:<n>
     concat(<spec>,<spec>,...)
+
+    concat nests at most MAX_N deep: a table has at most MAX_N bits, so any
+    deeper nesting only wraps single parts.
     """
     text = text.strip()
+    if max(_depths(text), default=0) > MAX_N:
+        raise FamilyParseError("concat nests more than %d deep" % MAX_N)
     if text.startswith("concat(") and text.endswith(")"):
         body = text[len("concat(") : -1]
         if not body.strip():
@@ -211,53 +209,20 @@ def parse_family(text):
         return FamilySpec("concat", n=sum(p.n for p in parts), parts=parts)
     head, _, rest = text.partition(":")
     args = rest.split(":") if rest else []
-    if head == "chi" and len(args) == 1:
-        return FamilySpec("chi", n=_int_field(args[0], "n"))
-    if head == "chi_nm" and len(args) == 2:
-        return FamilySpec("chi_nm", n=_int_field(args[0], "n"), m=_int_field(args[1], "m"))
-    if head == "theta" and len(args) == 3:
-        return FamilySpec(
-            "theta",
-            n=_int_field(args[0], "n"),
-            m=_int_field(args[1], "m"),
-            k=_int_field(args[2], "k"),
-        )
-    if head == "chi_prime3" and len(args) == 1:
-        return FamilySpec("chi_prime3", n=_int_field(args[0], "n"))
-    if head == "cchi" and len(args) == 1:
-        return FamilySpec("cchi", n=_int_field(args[0], "n"))
+    if head in FAMILIES and len(args) == len(FAMILIES[head][1]):
+        return FamilySpec(head, **{name: _int_field(a, name) for name, a in zip(FAMILIES[head][1], args)})
     raise FamilyParseError("unrecognized family spec %r" % (text,))
 
 
 def spec_string(fs):
     """Canonical spec string for a FamilySpec, inverse of parse_family."""
-    if fs.family == "chi":
-        return "chi:%d" % fs.n
-    if fs.family == "chi_nm":
-        return "chi_nm:%d:%d" % (fs.n, fs.m)
-    if fs.family == "theta":
-        return "theta:%d:%d:%d" % (fs.n, fs.m, fs.k)
-    if fs.family == "chi_prime3":
-        return "chi_prime3:%d" % fs.n
-    if fs.family == "cchi":
-        return "cchi:%d" % fs.n
     if fs.family == "concat":
         return "concat(%s)" % ",".join(spec_string(p) for p in fs.parts)
-    raise ValueError("unknown family %r" % (fs.family,))
+    return ":".join([fs.family] + ["%d" % v for v in _fields(fs)])
 
 
 def build(fs):
     """Materialize a FamilySpec into its TruthTable."""
-    if fs.family == "chi":
-        return make_chi(fs.n)
-    if fs.family == "chi_nm":
-        return make_chi_nm(fs.n, fs.m)
-    if fs.family == "theta":
-        return make_theta(fs.n, fs.m, fs.k)
-    if fs.family == "chi_prime3":
-        return make_chi_prime3(fs.n)
-    if fs.family == "cchi":
-        return make_cchi(fs.n)
     if fs.family == "concat":
         return make_concat([build(p) for p in fs.parts])
-    raise ValueError("unknown family %r" % (fs.family,))
+    return FAMILIES[fs.family][0](*_fields(fs))

@@ -16,13 +16,11 @@ a applies to the output and b to the input.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmap import NotAPermutation, invert, is_permutation
+from .boolmap import NotAPermutation, dump_json, invert, is_permutation
 
 DOM_A_NONZERO = "a nonzero, all b"
 DOM_ALL_PAIRS = "all (a,b)"
@@ -50,8 +48,27 @@ class SpectrumReport:
         return sum(c for _, c in self.multiset)
 
 
-def _tally(counter):
-    return tuple(sorted(counter.items()))
+def _spectrum(metric, n, rows, domain, headline):
+    """Report of the value multiset of rows, each an int64 array over [-2^n, 2^n].
+
+    Every row is tallied with one bincount at offset 2^n; headline maps the
+    sorted (value, count) multiset to the headline statistic.
+    """
+    size = 1 << n
+    hist = np.zeros(2 * size + 1, dtype=np.int64)
+    for row in rows:
+        hist += np.bincount(row + size, minlength=2 * size + 1)
+    multiset = tuple((int(i) - size, int(hist[i])) for i in np.flatnonzero(hist))
+    return SpectrumReport(metric, n, headline(multiset), multiset, domain)
+
+
+def _largest(multiset):
+    return multiset[-1][0]
+
+
+def _values_without(multiset, value, count):
+    """The values still present once count copies of value are set aside."""
+    return [v for v, c in multiset if c > (count if v == value else 0)]
 
 
 def _parity_sign(words, mask):
@@ -74,21 +91,17 @@ def _wht(vec):
     return v
 
 
+def _ddt_rows(f):
+    # row a of the DDT, delta(a, .), for every a != 0
+    ent = f.entries
+    x = np.arange(1 << f.n, dtype=np.int64)
+    for a in range(1, 1 << f.n):
+        yield np.bincount(ent ^ ent[x ^ a], minlength=1 << f.n)
+
+
 def differential_spectrum(f):
     """delta(a,b) = #{x : F(x+a) + F(x) = b}, tallied over a != 0 and all b."""
-    n = f.n
-    size = 1 << n
-    x = np.arange(size, dtype=np.int64)
-    ent = f.entries
-    tally = Counter()
-    best = 0
-    for a in range(1, size):
-        counts = np.bincount(ent ^ ent[x ^ a], minlength=size)
-        vals, reps = np.unique(counts, return_counts=True)
-        for v, r in zip(vals, reps):
-            tally[int(v)] += int(r)
-        best = max(best, int(counts.max()))
-    return SpectrumReport("differential", n, best, _tally(tally), DOM_A_NONZERO)
+    return _spectrum("differential", f.n, _ddt_rows(f), DOM_A_NONZERO, _largest)
 
 
 def walsh_values(f, a):
@@ -96,37 +109,19 @@ def walsh_values(f, a):
     return _wht(_parity_sign(f.entries, a))
 
 
-def walsh_spectrum(f, cross_check=None):
+def walsh_spectrum(f):
     """Signed Walsh values over all (a,b); headline NL = 2^(n-1) - max|W|/2.
 
-    The fast transform is checked against the direct-sum definition when
-    cross_check is true (default: automatically for n <= 4).
+    The row a = 0 holds one 2^n and zeros, so max|W| over a != 0 is the
+    largest |value| left once that single 2^n is set aside.
     """
     n = f.n
-    size = 1 << n
-    if cross_check is None:
-        cross_check = n <= 4
-    tally = Counter()
-    maxabs = 0
-    rows = []
-    for a in range(size):
-        row = walsh_values(f, a)
-        if cross_check:
-            rows.append(row)
-        vals, reps = np.unique(row, return_counts=True)
-        for v, r in zip(vals, reps):
-            tally[int(v)] += int(r)
-        if a:
-            maxabs = max(maxabs, int(np.abs(row).max()))
-    if cross_check:
-        x = np.arange(size, dtype=np.int64)
-        kernel = 1 - 2 * (np.bitwise_count(x[:, None] & x[None, :]).astype(np.int64) & 1)
-        signs = np.stack([_parity_sign(f.entries, a) for a in range(size)])
-        direct = signs @ kernel
-        if not np.array_equal(np.stack(rows), direct):
-            raise AssertionError("fast Walsh transform disagrees with the direct sum")
-    nl = (1 << (n - 1)) - maxabs // 2
-    return SpectrumReport("walsh", n, nl, _tally(tally), DOM_ALL_PAIRS)
+    rows = (walsh_values(f, a) for a in range(1 << n))
+
+    def nonlinearity(multiset):
+        return (1 << (n - 1)) - max(abs(v) for v in _values_without(multiset, 1 << n, 1)) // 2
+
+    return _spectrum("walsh", n, rows, DOM_ALL_PAIRS, nonlinearity)
 
 
 def boomerang_spectrum(f):
@@ -141,16 +136,14 @@ def boomerang_spectrum(f):
     x = np.arange(size, dtype=np.int64)
     avec = np.arange(1, size, dtype=np.int64)
     xa = x[:, None] ^ avec[None, :]
-    tally = Counter()
-    best = 0
-    for b in range(1, size):
-        u = inv[ent ^ b]
-        counts = (u[xa] ^ u[x][:, None] == avec[None, :]).sum(axis=0)
-        vals, reps = np.unique(counts, return_counts=True)
-        for v, r in zip(vals, reps):
-            tally[int(v)] += int(r)
-        best = max(best, int(counts.max()))
-    return SpectrumReport("boomerang", n, best, _tally(tally), DOM_AB_NONZERO)
+
+    def columns():
+        # beta(., b) over a != 0, for every b != 0
+        for b in range(1, size):
+            u = inv[ent ^ b]
+            yield (u[xa] ^ u[x][:, None] == avec[None, :]).sum(axis=0)
+
+    return _spectrum("boomerang", n, columns(), DOM_AB_NONZERO, _largest)
 
 
 def dlct_spectrum(f):
@@ -158,22 +151,15 @@ def dlct_spectrum(f):
 
     Row a is half the transform of the output-difference histogram: with
     c_v = #{x : F(x)+F(x+a) = v}, DLCT(a,b) = (sum_v c_v (-1)^(b.v)) / 2.
+    The headline is the maximum over b != 0; DLCT(a,0) = 2^(n-1) in every row.
     """
     n = f.n
-    size = 1 << n
-    x = np.arange(size, dtype=np.int64)
-    ent = f.entries
-    tally = Counter()
-    best = None
-    for a in range(1, size):
-        counts = np.bincount(ent ^ ent[x ^ a], minlength=size)
-        row = _wht(counts.astype(np.int64)) // 2
-        vals, reps = np.unique(row, return_counts=True)
-        for v, r in zip(vals, reps):
-            tally[int(v)] += int(r)
-        rb = int(row[1:].max())
-        best = rb if best is None else max(best, rb)
-    return SpectrumReport("dlct", n, best, _tally(tally), DOM_A_NONZERO)
+    rows = (_wht(row) // 2 for row in _ddt_rows(f))
+
+    def uniformity(multiset):
+        return max(_values_without(multiset, 1 << (n - 1), (1 << n) - 1))
+
+    return _spectrum("dlct", n, rows, DOM_A_NONZERO, uniformity)
 
 
 def render_spectrum(report):
@@ -189,12 +175,16 @@ def render_spectrum(report):
     return "{%s}" % ",".join(parts)
 
 
-def report_to_json(report):
-    doc = {
+def report_doc(report):
+    """The JSON document of a report, as printed by chibox analyze."""
+    return {
         "metric": report.metric,
         "n": report.n,
         "headline": report.headline,
         "spectrum": [[int(v), int(c)] for v, c in report.multiset],
         "domain": report.domain,
     }
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+
+
+def report_to_json(report):
+    return dump_json(report_doc(report))

@@ -153,6 +153,20 @@ def is_involution(f):
     return all(f.coeffs[i] == 0 for i in range(1, f.ell // 2 + 1))
 
 
+def group_pow(f, k):
+    """f composed with itself k times, by binary exponentiation; f^0 is the identity."""
+    if k < 0:
+        raise ValueError("iterate power must be non-negative")
+    acc = identity_comb(f.n, f.m)
+    while k:
+        if k & 1:
+            acc = group_mul(acc, f)
+        k >>= 1
+        if k:
+            f = group_mul(f, f)
+    return acc
+
+
 def iterate_coeffs(n, m, k):
     """Coefficients of chi_{n,m}^k: a_j = 1 iff j precedes k digit-wise in base 2.
 
@@ -167,58 +181,17 @@ def iterate_coeffs(n, m, k):
 
 
 def predicate_fixed_set(n, m, j):
-    """All words passing the fixed-point window test, as a vectorized sweep.
+    """Fix(chi_{n,m}^(2^j)) as a sorted list of words: the zero set of theta_{m,2^j}.
 
-    Same semantics as fixed_point_predicate applied to every x in F_2^n,
-    returned as a sorted list of words.
+    In F_2[z], (1+z)^(2^j) = 1 + z^(2^j), so chi^(2^j) = theta_0 + theta_{m,2^j}
+    and x is fixed exactly when theta_{m,2^j}(x) = 0: no cyclic window
+    (x_{i+1},...,x_{i+w}), w = 2^j * m, reads (0_{m-1}, *, ..., 0_{m-1}, 1).
+    Every word is fixed when the window cannot fit (w > n).
     """
     if n % m == 0:
         raise ValueError("m must not divide n for the fixed-point predicate")
     if j < 0:
         raise ValueError("j must be non-negative")
-    x = np.arange(1 << n, dtype=np.int64)
-    width = (1 << j) * m
-    hit_any = np.zeros(x.size, dtype=bool)
-    for i in range(n):
-        ok = np.ones(x.size, dtype=bool)
-        for t in range(1, width + 1):
-            b = (x >> ((i + t) % n)) & 1
-            if t == width:
-                ok &= b == 1
-            elif t % m:
-                ok &= b == 0
-        hit_any |= ok
-    return [int(w) for w in x[~hit_any]]
-
-
-def fixed_point_predicate(n, m, j, x):
-    """Window test for 'x is a fixed point of chi_{n,m}^(2^j)'.
-
-    True iff x, read cyclically, contains no window (x_{i+1},...,x_{i+w}) of
-    the form (0_{m-1}, *, 0_{m-1}, *, ..., 0_{m-1}, 1) with w = 2^j * m: a
-    zero block of width m-1 before every stride-m slot, the last slot forced
-    to 1.  Positions visited twice under the cyclic wrap must satisfy both
-    constraints, which makes the test vacuously true exactly when the window
-    cannot fit, matching the identity iterate.
-    """
-    if n % m == 0:
-        raise ValueError("m must not divide n for the fixed-point predicate")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    if not 0 <= x < (1 << n):
-        raise ValueError("x out of range for n=%d" % (n,))
-    width = (1 << j) * m
-    for i in range(n):
-        hit = True
-        for t in range(1, width + 1):
-            b = (x >> ((i + t) % n)) & 1
-            if t == width:
-                if b != 1:
-                    hit = False
-            elif t % m and b != 0:
-                hit = False
-            if not hit:
-                break
-        if hit:
-            return False
-    return True
+    if m << j > n:
+        return list(range(1 << n))
+    return np.flatnonzero(make_theta(n, m, 1 << j).entries == 0).tolist()

@@ -1,4 +1,4 @@
-"""Spectra straight from their definitions, for checking reference rows.
+"""Spectra and fixed-point tests straight from their definitions.
 
 Each table is built by evaluating the defining count or sum at every (a, b)
 pair, one row of a at a time: no fast transform, no identity between tables
@@ -13,6 +13,9 @@ chibox.metrics:
 spectrum_row reduces a table to the (headline, {value: count}) form of
 tests/golden.py over the same domains and headline maxima.  Every table
 costs O(2^(3n)) time and O(2^(2n)) memory, well under a second at n = 8.
+
+fixed_point_predicate tests one word against the cyclic window that
+chibox.thetagroup.predicate_fixed_set evaluates on all words at once.
 """
 
 import numpy as np
@@ -84,3 +87,36 @@ def spectrum_row(metric, entries):
         head = int(t[1:, 1:].max())
     values, counts = np.unique(domain, return_counts=True)
     return head, {int(v): int(c) for v, c in zip(values, counts)}
+
+
+def fixed_point_predicate(n, m, j, x):
+    """Window test for 'x is a fixed point of chi_{n,m}^(2^j)'.
+
+    True iff x, read cyclically, contains no window (x_{i+1},...,x_{i+w}) of
+    the form (0_{m-1}, *, 0_{m-1}, *, ..., 0_{m-1}, 1) with w = 2^j * m: a
+    zero block of width m-1 before every stride-m slot, the last slot forced
+    to 1.  Positions visited twice under the cyclic wrap must satisfy both
+    constraints, which makes the test vacuously true exactly when the window
+    cannot fit, matching the identity iterate.
+    """
+    if n % m == 0:
+        raise ValueError("m must not divide n for the fixed-point predicate")
+    if j < 0:
+        raise ValueError("j must be non-negative")
+    if not 0 <= x < (1 << n):
+        raise ValueError("x out of range for n=%d" % (n,))
+    width = (1 << j) * m
+    for i in range(n):
+        hit = True
+        for t in range(1, width + 1):
+            b = (x >> ((i + t) % n)) & 1
+            if t == width:
+                if b != 1:
+                    hit = False
+            elif t % m and b != 0:
+                hit = False
+            if not hit:
+                break
+        if hit:
+            return False
+    return True

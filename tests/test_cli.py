@@ -210,6 +210,13 @@ def test_fixed_points_counts(capsys):
     doc = json.loads(out)
     assert doc["count"] == 256
 
+    # a window wider than the word fixes everything, whatever the power
+    rc, out, _ = run_cli(
+        capsys, "fixed-points", "--n", "8", "--m", "3", "--power", "1073741824", "--format", "structured"
+    )
+    doc = json.loads(out)
+    assert doc["count"] == 256 and doc["predicate_count"] == 256 and doc["agree"] is True
+
     # powers that are not powers of two fall back to plain enumeration
     rc, out, _ = run_cli(
         capsys, "fixed-points", "--n", "8", "--m", "3", "--power", "3", "--format", "structured"
@@ -264,6 +271,8 @@ def test_exit_code_2_usage(capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "construct", "chi")
     assert rc == 2
+    rc, _, err = run_cli(capsys, "construct", "concat(" * 2000 + "chi:3" + ")" * 2000)
+    assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_exit_code_3_domain(capsys):
@@ -281,6 +290,10 @@ def test_exit_code_3_domain(capsys):
     assert rc == 3
     rc, _, err = run_cli(capsys, "group", "--n", "8", "--m", "3", "--coeffs", "110", "iterate:-1")
     assert rc == 3
+    rc, _, err = run_cli(capsys, "group", "--n", "8", "--m", "0", "--coeffs", "110", "order")
+    assert rc == 3 and err.startswith("error:") and err.count("\n") == 1
+    rc, _, err = run_cli(capsys, "fixed-points", "--n", "8", "--m", "0", "--power", "1")
+    assert rc == 3 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_exit_code_4_io(tmp_path, capsys):
@@ -298,6 +311,24 @@ def test_exit_code_4_io(tmp_path, capsys):
         capsys, "cost", "chi", "--n", "5", "--lib", "umc180", "--gates", str(tmp_path / "no.csv")
     )
     assert rc == 4
+    # a malformed gate CSV is a file-format error, an unknown library in a good one is not
+    gates = tmp_path / "gates.csv"
+    gates.write_text("gate,technology\nXOR,demo\n")
+    rc, _, err = run_cli(capsys, "cost", "chi", "--n", "5", "--lib", "demo", "--gates", str(gates))
+    assert rc == 4 and err.startswith("error:") and err.count("\n") == 1
+    gates.write_text("gate,technology,ge\nXOR,demo,2.00\n")
+    rc, _, err = run_cli(capsys, "cost", "chi", "--n", "5", "--lib", "umc180", "--gates", str(gates))
+    assert rc == 3
+    # a boolean is not a dimension
+    boolean_n = tmp_path / "bool.tbl"
+    boolean_n.write_text('{"n":true,"family":"","entries":["0","1"]}\n')
+    rc, _, err = run_cli(capsys, "analyze", str(boolean_n), "--metrics", "ddt")
+    assert rc == 4 and err.startswith("error:") and err.count("\n") == 1
+    # and a file that is not text cannot be read
+    binary = tmp_path / "binary.tbl"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    rc, _, err = run_cli(capsys, "analyze", str(binary), "--metrics", "ddt")
+    assert rc == 4 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_console_script_entry_point():

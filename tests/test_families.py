@@ -148,6 +148,7 @@ def test_parse_round_trip():
         "cchi:8",
         "concat(chi:3,chi:3)",
         "concat(chi:3,concat(chi:4,chi_nm:5:3))",
+        "concat(" * 24 + "chi:3" + ")" * 24,
     ):
         fs = parse_family(text)
         assert spec_string(fs) == text
@@ -176,6 +177,7 @@ def test_parse_errors():
         "concat(chi:3,)",
         "chi:5 trailing",
         "theta:8:3",
+        "concat(" * 25 + "chi:3" + ")" * 25,
     ):
         with pytest.raises(FamilyParseError):
             parse_family(text)

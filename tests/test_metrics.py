@@ -27,6 +27,7 @@ from chibox import (
 )
 
 import golden
+from oracles import walsh_table
 import oracles
 
 SPECTRUM = {
@@ -122,7 +123,10 @@ def test_walsh_cross_check_and_parseval():
     rng = np.random.default_rng(29)
     for n in (3, 4, 5, 6):
         f = table_from_entries(n, rng.integers(0, 1 << n, size=1 << n))
-        rep = walsh_spectrum(f, cross_check=True)
+        table = walsh_table(f.entries)
+        for a in range(1 << n):
+            assert np.array_equal(walsh_values(f, a), table[a]), (n, a)
+        rep = walsh_spectrum(f)
         assert sum(v * v * c for v, c in rep.multiset) == 1 << (3 * n)
         assert rep.total() == 1 << (2 * n)
     # per-component Parseval on a single mask row

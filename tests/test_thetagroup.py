@@ -12,10 +12,10 @@ from chibox import (
     comb_to_table,
     compose,
     element_order,
-    fixed_point_predicate,
     fixed_points,
     group_inverse,
     group_mul,
+    group_pow,
     identity_comb,
     identity_table,
     invert,
@@ -30,6 +30,7 @@ from chibox import (
 )
 
 import golden
+from oracles import fixed_point_predicate
 
 
 def coprime_pairs(n_max):
@@ -153,6 +154,7 @@ def test_iterate_coeffs_matches_materialized_powers():
         for k in range(0, 33):
             c = iterate_coeffs(n, m, k)
             assert isinstance(c, ThetaComb)
+            assert group_pow(chi_comb(n, m), k).coeffs == c.coeffs, (n, m, k)
             assert comb_to_table(c) == iterate(chi_table, k), (n, m, k)
 
 
@@ -178,6 +180,10 @@ def test_non_unit_rejected():
         group_inverse(z)
     with pytest.raises(NonUnitError):
         element_order(z)
+    with pytest.raises(NonUnitError):
+        group_pow(z, 1)
+    # the empty product needs no group operation
+    assert group_pow(z, 0).coeffs == (1, 0, 0)
     with pytest.raises(ValueError):
         group_mul(u, chi_comb(7, 3))
 
