@@ -290,17 +290,22 @@ def table_degree(f):
     return max(degs) if degs else None
 
 
-def table_to_json(f, family=""):
+def hex_entries(f):
+    """F(u) for every u as lowercase hex, zero-padded to ceil(n/4) digits."""
+    width = (f.n + 3) // 4
+    return ["%0*x" % (width, y) for y in f.entries.tolist()]
+
+
+def table_to_json(f, family="", entries=None):
     """Serialize a table to the interchange document.
 
-    Fields: n, family (free-form provenance string), entries (2^n lowercase
-    hex strings, zero-padded to ceil(n/4) digits, entry u = F(u)).
+    Fields: n, family (free-form provenance string), entries (hex_entries(f),
+    entry u = F(u)); pass entries when that list is already at hand.
     """
-    width = (f.n + 3) // 4
     doc = {
         "n": f.n,
         "family": family,
-        "entries": [format(int(y), "0%dx" % width) for y in f.entries],
+        "entries": hex_entries(f) if entries is None else entries,
     }
     return dump_json(doc)
 

@@ -7,8 +7,10 @@ writes the truth-table document for construct and group materialize, and
 the structured report document for everything else.
 
 Exit codes: 0 success, 2 usage or parse error, 3 domain error (bad
-parameters, non-permutation, non-unit, m dividing n), 4 I/O or file-format
-error.
+parameters, non-permutation, non-unit, m dividing n) or internal error (a
+self-check that failed, such as the fixed-point predicate disagreeing with
+enumeration), 4 I/O or file-format error.  Every error is one stderr line
+starting with "error:".
 """
 
 from __future__ import annotations
@@ -90,10 +92,13 @@ def _hexword(word, n):
 
 
 def _table_output(args, doc, lines, table, family):
-    """A command result whose -o document is the truth table, not the report."""
+    """A command result whose -o document is the truth table, not the report.
+
+    The -o document shares the hex entries of doc instead of formatting them again.
+    """
     if args.output:
         lines.append("wrote: %s" % args.output)
-    return doc, "\n".join(lines) + "\n", lambda: boolmap.table_to_json(table, family)
+    return doc, "\n".join(lines) + "\n", lambda: boolmap.table_to_json(table, family, doc["entries"])
 
 
 def cmd_construct(args):
@@ -109,7 +114,7 @@ def cmd_construct(args):
         "permutation": ok,
         "witness": None if witness is None else [witness[0], witness[1]],
         "degree": degree,
-        "entries": [_hexword(y, table.n) for y in table.entries],
+        "entries": boolmap.hex_entries(table),
     }
     lines = [
         "family: %s" % family,
@@ -209,7 +214,7 @@ def cmd_group(args):
         family = "comb:%d:%d:%s" % (args.n, args.m, thetagroup.bitstring(comb))
         ok, _ = boolmap.is_permutation(table)
         doc["permutation"] = ok
-        doc["entries"] = [_hexword(y, table.n) for y in table.entries]
+        doc["entries"] = boolmap.hex_entries(table)
         lines = ["family: %s" % family, "n: %d" % table.n, "permutation: %s" % ("true" if ok else "false")]
         return _table_output(args, doc, lines, table, family)
     if query == "inverse":
@@ -257,7 +262,7 @@ def cmd_fixed_points(args):
         agree = pred == points
         if not agree:
             raise RuntimeError(
-                "internal error: window predicate disagrees with enumeration "
+                "window predicate disagrees with enumeration "
                 "for n=%d m=%d power=%d" % (args.n, args.m, k)
             )
     sample = points[:16]
@@ -365,6 +370,9 @@ def main(argv=None):
     except (FileFormatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except RuntimeError as exc:
+        print("error: internal error: %s" % exc, file=sys.stderr)
+        return 3
     sys.stdout.write(dump_json(doc) if args.format == "structured" else text)
     return 0
 

@@ -12,6 +12,24 @@ cardinalities are reproducible:
 Headlines follow the defining maxima: Delta over a != 0 (all b), NL from the
 largest |W| over a != 0 (all b), B and DL over a, b != 0.  In W(a,b) the mask
 a applies to the output and b to the input.
+
+The boomerang table is built column by column from the identity of Cid et
+al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
+
+  beta(a,b) = #{(x,g) : D_gF(x) = b = D_gF(x+a)} = #{x : v_b(x) = v_b(x+a)}
+
+where D_gF(x) = F(x) + F(x+g) and v_b(x) = x + F^-1(F(x)+b) is the one g
+with D_gF(x) = b.  So beta(., b) counts the pairs (x, x+a) inside the
+differential classes S_{g,b} = {x : D_gF(x) = b}, of sizes delta(g,b).
+Column b takes the cheaper of two counts, read off its DDT energy
+P_b = sum_g delta(g,b)^2 (about 2^(2n)/2 is where their costs cross):
+
+  P_b < 2^(2n)/2  pairs: S_{g,b} = T + {0, g} with T its half whose bit at
+                  the top bit of g is clear; each unordered pair {t, t'} of
+                  T stands for four pairs at a = t+t' and four at t+t'+g,
+                  and the pairs (t, t+g) add delta(g,b) at a = g.  About
+                  P_b/8 pair visits.
+  otherwise       compare v_b(x) with v_b(x+a) at every (a, x): 2^(2n).
 """
 
 from __future__ import annotations
@@ -124,26 +142,110 @@ def walsh_spectrum(f):
     return _spectrum("walsh", n, rows, DOM_ALL_PAIRS, nonlinearity)
 
 
-def boomerang_spectrum(f):
-    """beta(a,b) = #{x : F^-1(F(x)+b) + F^-1(F(x+a)+b) = a} over a, b != 0."""
+def _pair_counts(ent, light):
+    """U(a, b) for the light columns b, as the rows of a [len(light), 2^n] table.
+
+    U(a, b) counts the (g, {t, t'}) with a in {t+t', t+t'+g} and t != t' in
+    T_{g,b}, the half of S_{g,b} whose bit at the top bit of g is clear.
+    Each g costs one sort of its half-space by (column, t) and two add.at
+    calls over its pairs, at most 2^(2n-3) of them, so the table is the
+    only buffer that outlives one g.
+    """
+    size = ent.size
+    n = size.bit_length() - 1
+    x = np.arange(size, dtype=np.int64)
+    column = np.full(size, -1, dtype=np.int64)
+    column[light] = np.arange(light.size)
+    dtype = np.min_scalar_type(size - 1)  # U(a, b) <= 2^(n-2)
+    counts = np.zeros((light.size, size), dtype=dtype)
+    flat = counts.reshape(-1)
+    one = dtype.type(1)
+    for g in range(1, size):
+        t = x[(x & (1 << (g.bit_length() - 1))) == 0]
+        c = column[ent[t] ^ ent[t ^ g]]
+        keep = c >= 0
+        s = np.sort((c[keep] << n) | t[keep])
+        c = s >> n
+        # r[i]: members of i's class after i; pair i with each of them
+        r = np.searchsorted(c, c, side="right") - np.arange(1, s.size + 1)
+        total = int(r.sum())
+        if not total:
+            continue
+        i = np.repeat(np.arange(s.size), r)
+        j = np.arange(total) - np.repeat(np.cumsum(r) - r, r) + i + 1
+        pair = s[i] ^ (s[j] & (size - 1))  # column << n | t+t'
+        np.add.at(flat, pair, one)
+        np.add.at(flat, pair ^ g, one)
+    return counts
+
+
+def _light_columns(ent, inv, light):
+    # beta(., b) = 4 U(., b) + delta(., b), and delta(., b) is the tally of v_b
+    x = np.arange(ent.size, dtype=np.int64)
+    for b, pairs in zip(light, _pair_counts(ent, light)):
+        ddt = np.bincount(x ^ inv[ent ^ b], minlength=ent.size)
+        yield int(b), (4 * pairs.astype(np.int64) + ddt)[1:]
+
+
+def _heavy_columns(ent, inv, heavy):
+    # beta(a, b) = #{x : v_b(x) = v_b(x+a)}, over one reused [2^n, 2^n] buffer
+    size = ent.size
+    x = np.arange(size, dtype=np.int64)
+    shifted = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
+    for b in heavy:
+        # shifted[a, x] = v_b(x+a): rows h..2h-1 are rows 0..h-1 with the
+        # halves of every 2h-block of x swapped
+        v = shifted[0]
+        v[:] = x ^ inv[ent ^ b]
+        h = 1
+        while h < size:
+            src = shifted[:h].reshape(h, -1, 2, h)
+            dst = shifted[h : 2 * h].reshape(h, -1, 2, h)
+            dst[:, :, 0] = src[:, :, 1]
+            dst[:, :, 1] = src[:, :, 0]
+            h *= 2
+        yield int(b), (shifted[1:] == v).sum(axis=1)
+
+
+# Column b is counted pair by pair when its DDT energy P_b < 2^(2n) / _LIGHT.
+_LIGHT = 2
+
+
+def boomerang_columns(f):
+    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b != 0, light columns first.
+
+    Column b is light when its DDT energy P_b = sum_g delta(g,b)^2 is below
+    2^(2n)/2, heavy otherwise; the energies come from one pass over the DDT
+    rows.  See the module docstring for the two counts.
+    """
     ok, _ = is_permutation(f)
     if not ok:
         raise NotAPermutation("boomerang spectrum needs a permutation")
-    n = f.n
-    size = 1 << n
-    inv = invert(f).entries
+    size = 1 << f.n
     ent = f.entries
-    x = np.arange(size, dtype=np.int64)
-    avec = np.arange(1, size, dtype=np.int64)
-    xa = x[:, None] ^ avec[None, :]
+    inv = invert(f).entries
+    energy = np.zeros(size, dtype=np.int64)
+    for row in _ddt_rows(f):
+        energy += row * row
+    light = energy[1:] * _LIGHT < size * size
+    b = np.arange(1, size)
+    if light.any():
+        yield from _light_columns(ent, inv, b[light])
+    if not light.all():
+        yield from _heavy_columns(ent, inv, b[~light])
 
-    def columns():
-        # beta(., b) over a != 0, for every b != 0
-        for b in range(1, size):
-            u = inv[ent ^ b]
-            yield (u[xa] ^ u[x][:, None] == avec[None, :]).sum(axis=0)
 
-    return _spectrum("boomerang", n, columns(), DOM_AB_NONZERO, _largest)
+def boomerang_spectrum(f):
+    """beta(a,b) = #{x : F^-1(F(x)+b) + F^-1(F(x+a)+b) = a} over a, b != 0.
+
+    Built from beta(a,b) = #{(x,g) : D_gF(x) = b = D_gF(x+a)}: a column whose
+    DDT energy sum_g delta(g,b)^2 is below 2^(2n)/2 counts the pairs inside
+    its differential classes, any other compares v_b(x) = x + F^-1(F(x)+b)
+    with v_b(x+a) at every (a, x).  Raises NotAPermutation if F is not a
+    permutation.
+    """
+    columns = (column for _, column in boomerang_columns(f))
+    return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest)
 
 
 def dlct_spectrum(f):

@@ -185,6 +185,24 @@ def test_group_materialize(tmp_path, capsys):
     assert table == iterate(make_chi_nm(8, 3), 2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "chi_nm:8:3"),
+        ("group", "--n", "8", "--m", "3", "--coeffs", "101", "materialize"),
+    ],
+)
+def test_table_document_entries_equal_stdout_entries(tmp_path, capsys, argv):
+    path = tmp_path / "t.tbl"
+    rc, out, _ = run_cli(capsys, *argv, "--format", "structured", "-o", str(path))
+    assert rc == 0
+    printed = json.loads(out)
+    written = path.read_text()
+    assert json.loads(written)["entries"] == printed["entries"]
+    table, family = table_from_json(written)
+    assert written == chibox.table_to_json(table, family)
+
+
 def test_fixed_points_counts(capsys):
     rc, out, _ = run_cli(
         capsys, "fixed-points", "--n", "8", "--m", "3", "--power", "1", "--format", "structured"
@@ -224,6 +242,15 @@ def test_fixed_points_counts(capsys):
     doc = json.loads(out)
     assert doc["predicate_count"] is None and doc["agree"] is None
     assert doc["count"] == 48
+
+
+def test_fixed_points_internal_error_is_one_line(capsys, monkeypatch):
+    # a predicate that disagrees with enumeration is an internal error, exit 3
+    monkeypatch.setattr(chibox.thetagroup, "predicate_fixed_set", lambda n, m, j: [])
+    rc, out, err = run_cli(capsys, "fixed-points", "--n", "8", "--m", "3", "--power", "2")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_fixed_points_text(capsys):

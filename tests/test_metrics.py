@@ -26,6 +26,8 @@ from chibox import (
     walsh_values,
 )
 
+from chibox import metrics
+
 import golden
 from oracles import walsh_table
 import oracles
@@ -160,6 +162,46 @@ def test_spectra_invariant_under_bit_relabeling():
 def test_boomerang_requires_permutation():
     with pytest.raises(NotAPermutation):
         boomerang_spectrum(make_chi_nm(6, 3))
+
+
+def _bct(f):
+    table = np.zeros((1 << f.n, 1 << f.n), dtype=np.int64)
+    for b, column in metrics.boomerang_columns(f):
+        table[1:, b] = column
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boomerang_table_of_random_permutations(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3 if n < 8 else 1):
+        ent = rng.permutation(1 << n)
+        f = table_from_entries(n, ent)
+        assert np.array_equal(_bct(f)[1:, 1:], oracles.boomerang_table(ent)[1:, 1:])
+
+
+def test_boomerang_table_on_both_sides_of_the_column_rule():
+    # column b is counted pair by pair when sum_g DDT(g,b)^2 < 2^(2n) / _LIGHT
+    sides = {}
+    for spec in ("chi_nm:7:4", "chi_nm:8:5", "cchi:8", "chi:7", "chi_nm:7:6"):
+        f = build(parse_family(spec))
+        size = 1 << f.n
+        energy = (oracles.differential_table(f.entries)[1:, 1:] ** 2).sum(axis=0)
+        light = energy * metrics._LIGHT < size * size
+        sides[spec] = "light" if light.all() else "heavy" if not light.any() else "mixed"
+        assert np.array_equal(_bct(f)[1:, 1:], oracles.boomerang_table(f.entries)[1:, 1:]), spec
+    assert set(sides.values()) == {"light", "mixed", "heavy"}, sides
+
+
+def test_boomerang_ddt_identity_at_n10():
+    # sum of beta over a, b != 0 = sum of DDT^2 over a != 0 - (2^n - 1) 2^n
+    n = 10
+    f = table_from_entries(n, np.random.default_rng(10).permutation(1 << n))
+    bct = boomerang_spectrum(f)
+    ddt = differential_spectrum(f)
+    assert bct.total() == ((1 << n) - 1) ** 2
+    bct_sum = sum(v * c for v, c in bct.multiset)
+    assert bct_sum == sum(v * v * c for v, c in ddt.multiset) - ((1 << n) - 1) * (1 << n)
 
 
 def test_non_permutation_differential_still_defined():
