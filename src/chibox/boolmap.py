@@ -192,27 +192,27 @@ class CycleReport:
 
 
 def cycle_structure(f):
+    """Cycle lengths, order and fixed-point count of a permutation.
+
+    Pointer doubling labels each word with the least word of its cycle: after
+    round k, label[u] is the least of u, f(u), ..., f^(2^k - 1)(u) and p is
+    f^(2^k), so n rounds cover every cycle.  The tally of the labels gives
+    each cycle's length, and the tally of the lengths their multiplicities.
+    Raises NotAPermutation when f is not a permutation.
+    """
     _require_permutation(f)
-    ent = f.entries
-    seen = np.zeros(1 << f.n, dtype=bool)
-    counts = {}
-    for u in range(1 << f.n):
-        if seen[u]:
-            continue
-        length = 0
-        v = u
-        while not seen[v]:
-            seen[v] = True
-            v = int(ent[v])
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-    order = 1
-    for length in counts:
-        order = math.lcm(order, length)
+    p = f.entries.astype(np.int32)
+    label = np.arange(1 << f.n, dtype=np.int32)
+    for _ in range(f.n):
+        label = np.minimum(label, label[p])
+        p = p[p]
+    sizes = np.bincount(label)
+    counts = np.bincount(sizes[sizes > 0])
+    lengths = np.flatnonzero(counts).tolist()
     return CycleReport(
-        cycle_lengths=tuple(sorted(counts.items())),
-        order=order,
-        fixed_point_count=counts.get(1, 0),
+        cycle_lengths=tuple((length, int(counts[length])) for length in lengths),
+        order=math.lcm(*lengths),
+        fixed_point_count=int(counts[1]),
     )
 
 

@@ -1,8 +1,8 @@
 """Exhaustive cryptographic spectra: differential, Walsh, boomerang, DLCT.
 
-Each operation enumerates its full table and reports the value multiset plus
-the headline statistic.  The enumeration domains are fixed so the multiset
-cardinalities are reproducible:
+Each operation computes one row per rotation orbit of its table and reports
+the value multiset plus the headline statistic.  The multisets are those of
+the full tables over fixed domains, so their cardinalities are reproducible:
 
   differential  delta(a,b) over a != 0, all b        (2^n - 1) * 2^n values
   walsh         W(a,b) over all (a,b)                 2^(2n) values
@@ -12,6 +12,16 @@ cardinalities are reproducible:
 Headlines follow the defining maxima: Delta over a != 0 (all b), NL from the
 largest |W| over a != 0 (all b), B and DL over a, b != 0.  In W(a,b) the mask
 a applies to the output and b to the input.
+
+Rotation symmetry.  Let S be the cyclic shift of the coordinates and t the
+least divisor of n with F o S^t = S^t o F, read off the entries (t = n when
+F has no such symmetry; the family label is never consulted).  S^t is a
+linear bit permutation that commutes with F, so all four tables satisfy
+T(S^t a, S^t b) = T(a, b): the row of S^t a (the column of S^t b for the
+boomerang table) is the row of a with its entries permuted.  So the tally
+takes one row per orbit of S^t, its least word, weighted by the orbit size.
+The maps of the paper, chi, chi_{n,m}, theta_{m,k}, chi'_{n,3} and their
+group products, have t = 1, which cuts the rows about n-fold.
 
 The boomerang table is built column by column from the identity of Cid et
 al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
@@ -67,15 +77,25 @@ class SpectrumReport:
 
 
 def _spectrum(metric, n, rows, domain, headline):
-    """Report of the value multiset of rows, each an int64 array over [-2^n, 2^n].
+    """Report of the value multiset of rows, (weight, int64 array over [-2^n, 2^n]) pairs.
 
-    Every row is tallied with one bincount at offset 2^n; headline maps the
-    sorted (value, count) multiset to the headline statistic.
+    Every row is tallied with one bincount at offset 2^n and counted weight
+    times; headline maps the sorted (value, count) multiset to the headline
+    statistic.
     """
     size = 1 << n
+    # the rows of one weight share a tally, scaled once at the end, so rows
+    # without symmetry (all of weight 1) cost one bincount and one add each
+    tally = {}
+    for weight, row in rows:
+        counts = np.bincount(row + size, minlength=2 * size + 1)
+        if weight in tally:
+            tally[weight] += counts
+        else:
+            tally[weight] = counts
     hist = np.zeros(2 * size + 1, dtype=np.int64)
-    for row in rows:
-        hist += np.bincount(row + size, minlength=2 * size + 1)
+    for weight, counts in tally.items():
+        hist += weight * counts
     multiset = tuple((int(i) - size, int(hist[i])) for i in np.flatnonzero(hist))
     return SpectrumReport(metric, n, headline(multiset), multiset, domain)
 
@@ -109,17 +129,50 @@ def _wht(vec):
     return v
 
 
-def _ddt_rows(f):
-    # row a of the DDT, delta(a, .), for every a != 0
-    ent = f.entries
-    x = np.arange(1 << f.n, dtype=np.int64)
-    for a in range(1, 1 << f.n):
-        yield np.bincount(ent ^ ent[x ^ a], minlength=1 << f.n)
+def _period(f):
+    """(t, S^t entries) for the least t dividing n with F o S^t = S^t o F.
+
+    One O(2^n) comparison per divisor, read off the entries alone; t = n,
+    where S^t is the identity, always qualifies.  S^t is the word rotation
+    of boolmap.shift, applied to the word array directly.
+    """
+    n, ent = f.n, f.entries
+    x = np.arange(1 << n, dtype=np.int64)
+    for t in range(1, n + 1):
+        if n % t == 0:
+            rot = ((x >> t) | (x << (n - t))) & ((1 << n) - 1)
+            if np.array_equal(ent[rot], rot[ent]):
+                return t, rot
+
+
+def _orbits(f):
+    """(words, sizes): the least word of every orbit of S^t, t = _period(f), and its size.
+
+    words ascends, so words[0] = 0 with size 1; with no symmetry (t = n)
+    every word is its own orbit.
+    """
+    t, rot = _period(f)
+    least = image = np.arange(1 << f.n, dtype=np.int64)
+    for _ in range(f.n // t - 1):
+        image = rot[image]
+        least = np.minimum(least, image)
+    sizes = np.bincount(least)
+    words = np.flatnonzero(sizes)
+    return words, sizes[words]
+
+
+def _ddt_rows(ent, rows):
+    # row a of the DDT, delta(a, .), for every a in rows
+    x = np.arange(ent.size, dtype=np.int64)
+    for a in rows:
+        yield np.bincount(ent ^ ent[x ^ a], minlength=ent.size)
 
 
 def differential_spectrum(f):
     """delta(a,b) = #{x : F(x+a) + F(x) = b}, tallied over a != 0 and all b."""
-    return _spectrum("differential", f.n, _ddt_rows(f), DOM_A_NONZERO, _largest)
+    words, sizes = _orbits(f)
+    rows = zip(sizes[1:], _ddt_rows(f.entries, words[1:]))
+    return _spectrum("differential", f.n, rows, DOM_A_NONZERO, _largest)
 
 
 def walsh_values(f, a):
@@ -134,7 +187,8 @@ def walsh_spectrum(f):
     largest |value| left once that single 2^n is set aside.
     """
     n = f.n
-    rows = (walsh_values(f, a) for a in range(1 << n))
+    words, sizes = _orbits(f)
+    rows = ((w, walsh_values(f, a)) for a, w in zip(words, sizes))
 
     def nonlinearity(multiset):
         return (1 << (n - 1)) - max(abs(v) for v in _values_without(multiset, 1 << n, 1)) // 2
@@ -211,8 +265,8 @@ def _heavy_columns(ent, inv, heavy):
 _LIGHT = 2
 
 
-def boomerang_columns(f):
-    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b != 0, light columns first.
+def _boomerang_columns(f, b):
+    """Yield (b, beta(a, b) for a = 1..2^n-1) for the given columns b != 0, light first.
 
     Column b is light when its DDT energy P_b = sum_g delta(g,b)^2 is below
     2^(2n)/2, heavy otherwise; the energies come from one pass over the DDT
@@ -225,14 +279,18 @@ def boomerang_columns(f):
     ent = f.entries
     inv = invert(f).entries
     energy = np.zeros(size, dtype=np.int64)
-    for row in _ddt_rows(f):
+    for row in _ddt_rows(ent, range(1, size)):
         energy += row * row
-    light = energy[1:] * _LIGHT < size * size
-    b = np.arange(1, size)
+    light = energy[b] * _LIGHT < size * size
     if light.any():
         yield from _light_columns(ent, inv, b[light])
     if not light.all():
         yield from _heavy_columns(ent, inv, b[~light])
+
+
+def boomerang_columns(f):
+    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b != 0, light columns first."""
+    return _boomerang_columns(f, np.arange(1, 1 << f.n))
 
 
 def boomerang_spectrum(f):
@@ -244,7 +302,9 @@ def boomerang_spectrum(f):
     with v_b(x+a) at every (a, x).  Raises NotAPermutation if F is not a
     permutation.
     """
-    columns = (column for _, column in boomerang_columns(f))
+    words, sizes = _orbits(f)
+    weight = dict(zip(words.tolist(), sizes.tolist()))
+    columns = ((weight[b], column) for b, column in _boomerang_columns(f, words[1:]))
     return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest)
 
 
@@ -256,7 +316,8 @@ def dlct_spectrum(f):
     The headline is the maximum over b != 0; DLCT(a,0) = 2^(n-1) in every row.
     """
     n = f.n
-    rows = (_wht(row) // 2 for row in _ddt_rows(f))
+    words, sizes = _orbits(f)
+    rows = ((w, _wht(row) // 2) for w, row in zip(sizes[1:], _ddt_rows(f.entries, words[1:])))
 
     def uniformity(multiset):
         return max(_values_without(multiset, 1 << (n - 1), (1 << n) - 1))

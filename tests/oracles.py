@@ -15,7 +15,8 @@ tests/golden.py over the same domains and headline maxima.  Every table
 costs O(2^(3n)) time and O(2^(2n)) memory, well under a second at n = 8.
 
 fixed_point_predicate tests one word against the cyclic window that
-chibox.thetagroup.predicate_fixed_set evaluates on all words at once.
+chibox.thetagroup.predicate_fixed_set evaluates on all words at once, and
+cycle_lengths walks the cycles of a permutation one word at a time.
 """
 
 import numpy as np
@@ -120,3 +121,20 @@ def fixed_point_predicate(n, m, j, x):
         if hit:
             return False
     return True
+
+
+def cycle_lengths(entries):
+    """((length, multiplicity), ...) of the cycles of a permutation, by length."""
+    ent = [int(y) for y in entries]
+    seen = [False] * len(ent)
+    counts = {}
+    for u in range(len(ent)):
+        length = 0
+        v = u
+        while not seen[v]:
+            seen[v] = True
+            v = ent[v]
+            length += 1
+        if length:
+            counts[length] = counts.get(length, 0) + 1
+    return tuple(sorted(counts.items()))

@@ -33,6 +33,8 @@ from chibox import (
     word_from_bits,
 )
 
+import oracles
+
 
 def random_table(rng, n):
     return table_from_entries(n, rng.integers(0, 1 << n, size=1 << n))
@@ -203,6 +205,22 @@ def test_cycle_structure():
     rng = np.random.default_rng(3)
     for n in (4, 6, 8):
         _least_order(random_permutation(rng, n))
+    # cycles of 1 to 40 words cut from a shuffled n = 12 word list: many
+    # lengths, most of them repeated, and fixed points
+    ent = np.arange(1 << 12)
+    words = rng.permutation(1 << 12)
+    cuts = np.cumsum(rng.integers(1, 41, size=1 << 12))
+    for cycle in np.split(words, cuts[cuts < words.size]):
+        ent[cycle] = np.roll(cycle, 1)
+    f = table_from_entries(12, ent)
+    rep = cycle_structure(f)
+    assert rep.cycle_lengths == oracles.cycle_lengths(ent)
+    assert len(rep.cycle_lengths) > 30 and rep.fixed_point_count > 1
+    assert rep.fixed_point_count == len(fixed_points(f))
+    assert rep.order == math.lcm(*(length for length, _ in rep.cycle_lengths))
+    for n in (1, 2, 16):
+        f = random_permutation(rng, n)
+        assert cycle_structure(f).cycle_lengths == oracles.cycle_lengths(f.entries)
     with pytest.raises(NotAPermutation):
         cycle_structure(make_chi_nm(6, 3))
 

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import chibox
-from chibox import iterate, make_chi_nm, table_from_json
+from chibox import iterate, make_chi_nm, table_from_entries, table_from_json, table_to_json
 from chibox.cli import main
 
 import golden
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,6 +118,24 @@ def test_analyze_from_file_equals_from_spec(tmp_path, capsys):
     )
     assert rc == 0
     assert from_spec == from_file
+
+
+def test_analyze_reads_symmetry_off_the_entries_not_the_family(tmp_path, capsys):
+    # a document labelled chi_nm:8:3 whose entries F(1) and F(2) are swapped:
+    # the map has no rotation symmetry left, whatever its family field says
+    ent = make_chi_nm(8, 3).entries.copy()
+    ent[[1, 2]] = ent[[2, 1]]
+    path = tmp_path / "perturbed.tbl"
+    path.write_text(table_to_json(table_from_entries(8, ent), family="chi_nm:8:3"))
+    rc, out, _ = run_cli(
+        capsys, "analyze", str(path), "--metrics", "ddt,walsh,bct,dlct", "--format", "structured"
+    )
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    assert [rep["metric"] for rep in reports] == ["differential", "walsh", "boomerang", "dlct"]
+    for rep in reports:
+        spectrum = {v: c for v, c in rep["spectrum"]}
+        assert (rep["headline"], spectrum) == oracles.spectrum_row(rep["metric"], ent), rep["metric"]
 
 
 def test_analyze_deterministic(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from chibox import (
     dlct_spectrum,
     identity_table,
     invert,
+    is_permutation,
     make_chi,
     make_chi_nm,
     parse_family,
     render_spectrum,
     report_to_json,
+    shift,
     table_from_entries,
     walsh_spectrum,
     walsh_values,
@@ -157,6 +160,47 @@ def test_spectra_invariant_under_bit_relabeling():
         b = fn(g)
         assert a.headline == b.headline, metric
         assert a.counts() == b.counts(), metric
+
+
+# map -> least t dividing n with F o S^t = S^t o F
+ROTATION_PERIOD = {
+    "chi_nm:8:3": 1,
+    "chi_prime3:8": 1,
+    "theta:8:3:2": 1,
+    "chi_nm:6:3": 1,
+    "concat(chi:3,chi:3)": 3,
+    "cchi:8": 8,
+    "random:8": 8,
+    "perturbed chi_nm:8:3": 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_PERIOD))
+def test_spectra_over_rotation_orbits(name):
+    if name == "random:8":
+        f = table_from_entries(8, np.random.default_rng(8).permutation(1 << 8))
+    elif name == "perturbed chi_nm:8:3":
+        # F(1) and F(2) swapped: a permutation without the symmetry
+        ent = make_chi_nm(8, 3).entries.copy()
+        ent[[1, 2]] = ent[[2, 1]]
+        f = table_from_entries(8, ent)
+    else:
+        f = build(parse_family(name))
+    t, rot = metrics._period(f)
+    assert t == ROTATION_PERIOD[name]
+    assert np.array_equal(rot, shift(f.n, t).entries)
+    words, sizes = metrics._orbits(f)
+    assert words[0] == 0 and sizes[0] == 1
+    assert sizes.sum() == 1 << f.n
+    # Burnside: the orbits of S^t, a shift of order L = n/t, number
+    # (1/L) sum_{k<L} 2^gcd(kt, n)
+    n = f.n
+    assert len(words) == sum(2 ** math.gcd(k * t, n) for k in range(n // t)) // (n // t)
+    for metric, spectrum in SPECTRUM.items():
+        if metric == "boomerang" and not is_permutation(f)[0]:
+            continue
+        rep = spectrum(f)
+        assert (rep.headline, rep.counts()) == oracles.spectrum_row(metric, f.entries), (name, metric)
 
 
 def test_boomerang_requires_permutation():
