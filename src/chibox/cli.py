@@ -16,6 +16,7 @@ starting with "error:".
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -303,6 +304,8 @@ def cmd_cost(args):
     return doc, "".join("%s: %s\n" % (key, doc[key]) for key in list(doc)[1:]), None
 
 
+# built once per process: parsing an argv costs a small fraction of building
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="chibox",

@@ -23,6 +23,15 @@ takes one row per orbit of S^t, its least word, weighted by the orbit size.
 The maps of the paper, chi, chi_{n,m}, theta_{m,k}, chi'_{n,3} and their
 group products, have t = 1, which cuts the rows about n-fold.
 
+Blocks.  The DDT, Walsh and DLCT rows are computed in blocks: the least
+words of one orbit size, at most 2^14 cells (2^14 / 2^n rows, one row when
+n > 14) at a time.  A DDT block is one bincount of F(x+a) + F(x) offset by
+the row's place in the block; a Walsh or DLCT block is one pass of int32
+butterflies over the flattened block, the widest of width 2^n.  Each block
+is tallied with one bincount, so the numpy calls per row fall by the block
+height while the temporaries stay a few hundred kilobytes.  The DDT energy
+that sorts the boomerang columns below comes from the same blocks.
+
 The boomerang table is built column by column from the identity of Cid et
 al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
 
@@ -32,7 +41,8 @@ where D_gF(x) = F(x) + F(x+g) and v_b(x) = x + F^-1(F(x)+b) is the one g
 with D_gF(x) = b.  So beta(., b) counts the pairs (x, x+a) inside the
 differential classes S_{g,b} = {x : D_gF(x) = b}, of sizes delta(g,b).
 Column b takes the cheaper of two counts, read off its DDT energy
-P_b = sum_g delta(g,b)^2 (about 2^(2n)/2 is where their costs cross):
+P_b = sum_g delta(g,b)^2 (about 2^(2n)/2 is where their costs cross),
+which is summed from the DDT rows of the orbit representatives g alone:
 
   P_b < 2^(2n)/2  pairs: S_{g,b} = T + {0, g} with T its half whose bit at
                   the top bit of g is clear; each unordered pair {t, t'} of
@@ -77,15 +87,16 @@ class SpectrumReport:
 
 
 def _spectrum(metric, n, rows, domain, headline):
-    """Report of the value multiset of rows, (weight, int64 array over [-2^n, 2^n]) pairs.
+    """Report of the value multiset of rows, (weight, flat integer array over [-2^n, 2^n]) pairs.
 
-    Every row is tallied with one bincount at offset 2^n and counted weight
-    times; headline maps the sorted (value, count) multiset to the headline
-    statistic.
+    Every flat array, one row or a block of rows, is tallied with one
+    bincount at offset 2^n and counted weight times; headline maps the
+    sorted (value, count) multiset to the headline statistic.
     """
     size = 1 << n
-    # the rows of one weight share a tally, scaled once at the end, so rows
-    # without symmetry (all of weight 1) cost one bincount and one add each
+    # the arrays of one weight share a tally, scaled once at the end, so a
+    # table without symmetry (all of weight 1) costs one bincount and one
+    # add per array
     tally = {}
     for weight, row in rows:
         counts = np.bincount(row + size, minlength=2 * size + 1)
@@ -109,24 +120,23 @@ def _values_without(multiset, value, count):
     return [v for v, c in multiset if c > (count if v == value else 0)]
 
 
-def _parity_sign(words, mask):
-    # (-1)^(popcount(words & mask)) as an int64 vector
-    return 1 - 2 * (np.bitwise_count(words & np.int64(mask)).astype(np.int64) & 1)
+def _wht(block):
+    """Walsh-Hadamard transform of every row of an int32 [rows, 2^n] block, in place.
 
-
-def _wht(vec):
-    # in-place size-doubling butterflies; vec is int64, length a power of two
-    v = vec.copy()
+    One pass of size-doubling butterflies over the flattened block; the
+    widest pairs the two halves of a row, so rows never mix.  int32 is
+    exact: every value and partial sum is bounded by 2^n <= 2^24.
+    """
+    flat = block.reshape(-1)
     h = 1
-    while h < v.size:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :] + v[:, 1, :]
-        b = v[:, 0, :] - v[:, 1, :]
-        v[:, 0, :] = a
-        v[:, 1, :] = b
-        v = v.reshape(-1)
+    while h < block.shape[1]:
+        v = flat.reshape(-1, 2, h)
+        lo, hi = v[:, 0], v[:, 1]
+        total = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
         h *= 2
-    return v
+    return block
 
 
 def _period(f):
@@ -161,23 +171,53 @@ def _orbits(f):
     return words, sizes[words]
 
 
-def _ddt_rows(ent, rows):
-    # row a of the DDT, delta(a, .), for every a in rows
-    x = np.arange(ent.size, dtype=np.int64)
-    for a in rows:
-        yield np.bincount(ent ^ ent[x ^ a], minlength=ent.size)
+# A block of rows holds at most this many cells, one row when a row is longer,
+# so an int64 temporary of a block takes at most 128 KiB: a smaller cap brings
+# back the per-call overhead, a larger one raises the peak memory.
+_BLOCK = 1 << 14
+
+
+def _blocks(f, nonzero):
+    """Yield (weight, rows): the orbit representatives of one orbit weight, in blocks.
+
+    Each block holds at most _BLOCK // 2^n of the words of _orbits(f) with
+    that orbit size; nonzero leaves out the word 0.
+    """
+    words, sizes = _orbits(f)
+    if nonzero:
+        words, sizes = words[1:], sizes[1:]
+    height = max(1, _BLOCK >> f.n)
+    for weight in np.flatnonzero(np.bincount(sizes)):
+        rows = words[sizes == weight]
+        for i in range(0, rows.size, height):
+            yield int(weight), rows[i : i + height]
+
+
+def _ddt_block(ent, rows):
+    # the DDT rows delta(a, .) of every a in rows, as an int64 [rows, 2^n] block
+    size = ent.size
+    n = size.bit_length() - 1
+    x = np.arange(size, dtype=np.int64)
+    offset = np.arange(rows.size, dtype=np.int64)[:, None] << n
+    counts = np.bincount(((ent ^ ent[x ^ rows[:, None]]) + offset).reshape(-1), minlength=rows.size << n)
+    return counts.reshape(rows.size, size)
 
 
 def differential_spectrum(f):
     """delta(a,b) = #{x : F(x+a) + F(x) = b}, tallied over a != 0 and all b."""
-    words, sizes = _orbits(f)
-    rows = zip(sizes[1:], _ddt_rows(f.entries, words[1:]))
-    return _spectrum("differential", f.n, rows, DOM_A_NONZERO, _largest)
+    blocks = ((w, _ddt_block(f.entries, rows).reshape(-1)) for w, rows in _blocks(f, True))
+    return _spectrum("differential", f.n, blocks, DOM_A_NONZERO, _largest)
+
+
+def _walsh_block(ent, rows):
+    # W(a, .) of every output mask a in rows: the transform of (-1)^(a.F(x))
+    parity = np.bitwise_count(ent & rows[:, None]) & 1
+    return _wht(1 - 2 * parity.astype(np.int32))
 
 
 def walsh_values(f, a):
-    """Signed Walsh row W(a, .) for one output mask a, all input masks b."""
-    return _wht(_parity_sign(f.entries, a))
+    """Signed Walsh row W(a, .) for one output mask a, all input masks b, as int32."""
+    return _walsh_block(f.entries, np.array([a], dtype=np.int64))[0]
 
 
 def walsh_spectrum(f):
@@ -187,13 +227,12 @@ def walsh_spectrum(f):
     largest |value| left once that single 2^n is set aside.
     """
     n = f.n
-    words, sizes = _orbits(f)
-    rows = ((w, walsh_values(f, a)) for a, w in zip(words, sizes))
+    blocks = ((w, _walsh_block(f.entries, rows).reshape(-1)) for w, rows in _blocks(f, False))
 
     def nonlinearity(multiset):
         return (1 << (n - 1)) - max(abs(v) for v in _values_without(multiset, 1 << n, 1)) // 2
 
-    return _spectrum("walsh", n, rows, DOM_ALL_PAIRS, nonlinearity)
+    return _spectrum("walsh", n, blocks, DOM_ALL_PAIRS, nonlinearity)
 
 
 def _pair_counts(ent, light):
@@ -261,6 +300,26 @@ def _heavy_columns(ent, inv, heavy):
         yield int(b), (shifted[1:] == v).sum(axis=1)
 
 
+def _energy(f):
+    """P_b = sum_{g != 0} delta(g,b)^2 for every b, from the DDT rows of the orbit representatives.
+
+    delta(S^t g, S^t b) = delta(g, b), so the orbit of g adds
+    sum_{k < w} delta(g, S^(kt) b)^2 to P_b, w its size: the squares of the
+    representatives of one weight are summed, then their w rotations added.
+    """
+    _, rot = _period(f)
+    squares = {}
+    for w, rows in _blocks(f, True):
+        block = _ddt_block(f.entries, rows)
+        squares[w] = squares.get(w, 0) + (block * block).sum(axis=0)
+    energy = np.zeros(rot.size, dtype=np.int64)
+    for w, part in squares.items():
+        for _ in range(w):
+            energy += part
+            part = part[rot]
+    return energy
+
+
 # Column b is counted pair by pair when its DDT energy P_b < 2^(2n) / _LIGHT.
 _LIGHT = 2
 
@@ -269,8 +328,8 @@ def _boomerang_columns(f, b):
     """Yield (b, beta(a, b) for a = 1..2^n-1) for the given columns b != 0, light first.
 
     Column b is light when its DDT energy P_b = sum_g delta(g,b)^2 is below
-    2^(2n)/2, heavy otherwise; the energies come from one pass over the DDT
-    rows.  See the module docstring for the two counts.
+    2^(2n)/2, heavy otherwise; the energies come from the DDT rows of the
+    orbit representatives.  See the module docstring for the two counts.
     """
     ok, _ = is_permutation(f)
     if not ok:
@@ -278,10 +337,7 @@ def _boomerang_columns(f, b):
     size = 1 << f.n
     ent = f.entries
     inv = invert(f).entries
-    energy = np.zeros(size, dtype=np.int64)
-    for row in _ddt_rows(ent, range(1, size)):
-        energy += row * row
-    light = energy[b] * _LIGHT < size * size
+    light = _energy(f)[b] * _LIGHT < size * size
     if light.any():
         yield from _light_columns(ent, inv, b[light])
     if not light.all():
@@ -316,13 +372,13 @@ def dlct_spectrum(f):
     The headline is the maximum over b != 0; DLCT(a,0) = 2^(n-1) in every row.
     """
     n = f.n
-    words, sizes = _orbits(f)
-    rows = ((w, _wht(row) // 2) for w, row in zip(sizes[1:], _ddt_rows(f.entries, words[1:])))
+    ddt = ((w, _ddt_block(f.entries, rows).astype(np.int32)) for w, rows in _blocks(f, True))
+    blocks = ((w, _wht(block).reshape(-1) >> 1) for w, block in ddt)
 
     def uniformity(multiset):
         return max(_values_without(multiset, 1 << (n - 1), (1 << n) - 1))
 
-    return _spectrum("dlct", n, rows, DOM_A_NONZERO, uniformity)
+    return _spectrum("dlct", n, blocks, DOM_A_NONZERO, uniformity)
 
 
 def render_spectrum(report):

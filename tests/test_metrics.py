@@ -203,6 +203,49 @@ def test_spectra_over_rotation_orbits(name):
         assert (rep.headline, rep.counts()) == oracles.spectrum_row(metric, f.entries), (name, metric)
 
 
+@pytest.mark.parametrize("name", ["chi_nm:9:3", "random:8"])
+def test_blocked_spectra_across_block_boundaries(name):
+    if name == "random:8":
+        f = table_from_entries(8, np.random.default_rng(88).permutation(1 << 8))
+    else:
+        f = build(parse_family(name))
+    height = metrics._BLOCK >> f.n
+    words, sizes = metrics._orbits(f)
+    # rows a != 0 of each orbit size: some weight spans more than one block
+    # and ends in a partial one; chi_nm:9:3 has sizes 1, 3 and 9
+    rows_per_weight = np.bincount(sizes[1:])
+    assert any(c > height and c % height for c in rows_per_weight), rows_per_weight
+    weight = dict(zip(words.tolist(), sizes.tolist()))
+    for nonzero in (False, True):
+        blocks = list(metrics._blocks(f, nonzero))
+        assert all(0 < rows.size <= height for _, rows in blocks)
+        # every representative exactly once, with its orbit size
+        listed = sorted((int(a), w) for w, rows in blocks for a in rows)
+        assert listed == [(a, weight[a]) for a in words[int(nonzero):].tolist()]
+    for metric in ("differential", "walsh", "dlct"):
+        rep = SPECTRUM[metric](f)
+        assert (rep.headline, rep.counts()) == oracles.spectrum_row(metric, f.entries), (name, metric)
+
+
+def test_boomerang_energy_from_orbit_representatives():
+    # P_b = sum_g DDT(g,b)^2 over every g != 0, against the rows of the
+    # representatives g rotated into place; equal energies give equal
+    # light and heavy column sets
+    sides = set()
+    for name in ("chi_nm:9:4", "chi_nm:8:5", "cchi:8", "random:8"):
+        if name == "random:8":
+            f = table_from_entries(8, np.random.default_rng(8).permutation(1 << 8))
+        else:
+            f = build(parse_family(name))
+        size = 1 << f.n
+        full = (oracles.differential_table(f.entries)[1:] ** 2).sum(axis=0)
+        energy = metrics._energy(f)
+        assert np.array_equal(energy, full), name
+        light = energy[1:] * metrics._LIGHT < size * size
+        sides.update(light.tolist())
+    assert sides == {True, False}
+
+
 def test_boomerang_requires_permutation():
     with pytest.raises(NotAPermutation):
         boomerang_spectrum(make_chi_nm(6, 3))
