@@ -283,11 +283,14 @@ def component_degree(a, mask):
 
 
 def table_degree(f):
-    """Algebraic degree of the mapping: max degree over single-bit components."""
-    a = anf(f)
-    degs = [component_degree(a, 1 << i) for i in range(f.n)]
-    degs = [d for d in degs if d is not None]
-    return max(degs) if degs else None
+    """Algebraic degree of the mapping: the largest monomial with a nonzero coefficient in any coordinate.
+
+    Returns None for the zero map (degree undefined).
+    """
+    live = np.flatnonzero(anf(f).coeffs)
+    if live.size == 0:
+        return None
+    return int(np.bitwise_count(live).max())
 
 
 def hex_entries(f):

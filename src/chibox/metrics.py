@@ -29,8 +29,7 @@ n > 14) at a time.  A DDT block is one bincount of F(x+a) + F(x) offset by
 the row's place in the block; a Walsh or DLCT block is one pass of int32
 butterflies over the flattened block, the widest of width 2^n.  Each block
 is tallied with one bincount, so the numpy calls per row fall by the block
-height while the temporaries stay a few hundred kilobytes.  The DDT energy
-that sorts the boomerang columns below comes from the same blocks.
+height while the temporaries stay a few hundred kilobytes.
 
 The boomerang table is built column by column from the identity of Cid et
 al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
@@ -40,16 +39,11 @@ al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
 where D_gF(x) = F(x) + F(x+g) and v_b(x) = x + F^-1(F(x)+b) is the one g
 with D_gF(x) = b.  So beta(., b) counts the pairs (x, x+a) inside the
 differential classes S_{g,b} = {x : D_gF(x) = b}, of sizes delta(g,b).
-Column b takes the cheaper of two counts, read off its DDT energy
-P_b = sum_g delta(g,b)^2 (about 2^(2n)/2 is where their costs cross),
-which is summed from the DDT rows of the orbit representatives g alone:
-
-  P_b < 2^(2n)/2  pairs: S_{g,b} = T + {0, g} with T its half whose bit at
-                  the top bit of g is clear; each unordered pair {t, t'} of
-                  T stands for four pairs at a = t+t' and four at t+t'+g,
-                  and the pairs (t, t+g) add delta(g,b) at a = g.  About
-                  P_b/8 pair visits.
-  otherwise       compare v_b(x) with v_b(x+a) at every (a, x): 2^(2n).
+S_{g,b} = T + {0, g} with T its half {x : x < x+g}; each unordered pair
+{t, t'} of T stands for four pairs at a = t+t' and four at t+t'+g, and
+the pairs (t, t+g) add delta(g,b) at a = g.  A column takes about
+sum_g delta(g,b)^2 / 8 pair visits, enumerated in chunks of at most 2^16
+pairs, so no temporary outgrows a 2^16-entry chunk or a 2^n row.
 """
 
 from __future__ import annotations
@@ -235,132 +229,78 @@ def walsh_spectrum(f):
     return _spectrum("walsh", n, blocks, DOM_ALL_PAIRS, nonlinearity)
 
 
-def _pair_counts(ent, light):
-    """U(a, b) for the light columns b, as the rows of a [len(light), 2^n] table.
+# A boomerang column enumerates its pairs {t, t'} in chunks of at most this
+# many, so each int64 temporary of a chunk takes at most 512 KiB: a smaller
+# cap brings back the per-call overhead, a larger one made chi_nm:11:10 and
+# chi_nm:12:5 about 1.5 times slower (2^18 pairs, 2 cores).
+_PAIRS = 1 << 16
 
-    U(a, b) counts the (g, {t, t'}) with a in {t+t', t+t'+g} and t != t' in
-    T_{g,b}, the half of S_{g,b} whose bit at the top bit of g is clear.
-    Each g costs one sort of its half-space by (column, t) and two add.at
-    calls over its pairs, at most 2^(2n-3) of them, so the table is the
-    only buffer that outlives one g.
+
+def _boomerang_column(ent, inv, b):
+    """beta(a, b) for a = 1..2^n-1, from the pairs inside the differential classes of column b.
+
+    beta(., b) = 4 U + delta(., b), where U(a) counts the pairs {t, t'} of
+    one half T_{g,b} with a in {t+t', t+t'+g} and delta(., b) is the tally
+    of v_b; see the module docstring.
     """
     size = ent.size
     n = size.bit_length() - 1
     x = np.arange(size, dtype=np.int64)
-    column = np.full(size, -1, dtype=np.int64)
-    column[light] = np.arange(light.size)
-    dtype = np.min_scalar_type(size - 1)  # U(a, b) <= 2^(n-2)
-    counts = np.zeros((light.size, size), dtype=dtype)
-    flat = counts.reshape(-1)
-    one = dtype.type(1)
-    for g in range(1, size):
-        t = x[(x & (1 << (g.bit_length() - 1))) == 0]
-        c = column[ent[t] ^ ent[t ^ g]]
-        keep = c >= 0
-        s = np.sort((c[keep] << n) | t[keep])
-        c = s >> n
-        # r[i]: members of i's class after i; pair i with each of them
-        r = np.searchsorted(c, c, side="right") - np.arange(1, s.size + 1)
-        total = int(r.sum())
-        if not total:
-            continue
-        i = np.repeat(np.arange(s.size), r)
-        j = np.arange(total) - np.repeat(np.cumsum(r) - r, r) + i + 1
-        pair = s[i] ^ (s[j] & (size - 1))  # column << n | t+t'
-        np.add.at(flat, pair, one)
-        np.add.at(flat, pair ^ g, one)
-    return counts
+    v = x ^ inv[ent ^ b]
+    t = x[x < x ^ v]
+    s = np.sort((v[t] << n) | t)
+    g, t = s >> n, s & (size - 1)
+    # r[i]: members of i's class after i; the pairs end[i]-r[i] .. end[i]-1
+    # pair i with each of them, pair k with the word at k + skip[i]
+    r = np.searchsorted(g, g, side="right") - np.arange(1, s.size + 1)
+    end = np.cumsum(r)
+    skip = np.arange(1, s.size + 1) - (end - r)
+    pairs = np.zeros(size, dtype=np.int64)
+    # T holds 2^(n-1) words, so end is never empty
+    total = int(end[-1])
+    for lo in range(0, total, _PAIRS):
+        hi = min(lo + _PAIRS, total)
+        # the words i0..i1-1 own the pairs lo..hi-1, cnt[i] of them each
+        i0 = np.searchsorted(end, lo, side="right")
+        i1 = np.searchsorted(end, hi - 1, side="right") + 1
+        cnt = np.minimum(end[i0:i1], hi) - np.maximum(end[i0:i1] - r[i0:i1], lo)
+        # d: t + t' of every pair, then t + t' + g, computed in place
+        d = np.arange(lo, hi)
+        d += np.repeat(skip[i0:i1], cnt)
+        d = t[d]
+        d ^= np.repeat(t[i0:i1], cnt)
+        pairs += np.bincount(d, minlength=size)
+        d ^= np.repeat(g[i0:i1], cnt)
+        pairs += np.bincount(d, minlength=size)
+    return (4 * pairs + np.bincount(v, minlength=size))[1:]
 
 
-def _light_columns(ent, inv, light):
-    # beta(., b) = 4 U(., b) + delta(., b), and delta(., b) is the tally of v_b
-    x = np.arange(ent.size, dtype=np.int64)
-    for b, pairs in zip(light, _pair_counts(ent, light)):
-        ddt = np.bincount(x ^ inv[ent ^ b], minlength=ent.size)
-        yield int(b), (4 * pairs.astype(np.int64) + ddt)[1:]
-
-
-def _heavy_columns(ent, inv, heavy):
-    # beta(a, b) = #{x : v_b(x) = v_b(x+a)}, over one reused [2^n, 2^n] buffer
-    size = ent.size
-    x = np.arange(size, dtype=np.int64)
-    shifted = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
-    for b in heavy:
-        # shifted[a, x] = v_b(x+a): rows h..2h-1 are rows 0..h-1 with the
-        # halves of every 2h-block of x swapped
-        v = shifted[0]
-        v[:] = x ^ inv[ent ^ b]
-        h = 1
-        while h < size:
-            src = shifted[:h].reshape(h, -1, 2, h)
-            dst = shifted[h : 2 * h].reshape(h, -1, 2, h)
-            dst[:, :, 0] = src[:, :, 1]
-            dst[:, :, 1] = src[:, :, 0]
-            h *= 2
-        yield int(b), (shifted[1:] == v).sum(axis=1)
-
-
-def _energy(f):
-    """P_b = sum_{g != 0} delta(g,b)^2 for every b, from the DDT rows of the orbit representatives.
-
-    delta(S^t g, S^t b) = delta(g, b), so the orbit of g adds
-    sum_{k < w} delta(g, S^(kt) b)^2 to P_b, w its size: the squares of the
-    representatives of one weight are summed, then their w rotations added.
-    """
-    _, rot = _period(f)
-    squares = {}
-    for w, rows in _blocks(f, True):
-        block = _ddt_block(f.entries, rows)
-        squares[w] = squares.get(w, 0) + (block * block).sum(axis=0)
-    energy = np.zeros(rot.size, dtype=np.int64)
-    for w, part in squares.items():
-        for _ in range(w):
-            energy += part
-            part = part[rot]
-    return energy
-
-
-# Column b is counted pair by pair when its DDT energy P_b < 2^(2n) / _LIGHT.
-_LIGHT = 2
-
-
-def _boomerang_columns(f, b):
-    """Yield (b, beta(a, b) for a = 1..2^n-1) for the given columns b != 0, light first.
-
-    Column b is light when its DDT energy P_b = sum_g delta(g,b)^2 is below
-    2^(2n)/2, heavy otherwise; the energies come from the DDT rows of the
-    orbit representatives.  See the module docstring for the two counts.
-    """
+def _boomerang_columns(f, columns):
+    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b in columns, all nonzero, in order."""
     ok, _ = is_permutation(f)
     if not ok:
         raise NotAPermutation("boomerang spectrum needs a permutation")
-    size = 1 << f.n
-    ent = f.entries
     inv = invert(f).entries
-    light = _energy(f)[b] * _LIGHT < size * size
-    if light.any():
-        yield from _light_columns(ent, inv, b[light])
-    if not light.all():
-        yield from _heavy_columns(ent, inv, b[~light])
+    for b in columns:
+        yield b, _boomerang_column(f.entries, inv, b)
 
 
 def boomerang_columns(f):
-    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b != 0, light columns first."""
-    return _boomerang_columns(f, np.arange(1, 1 << f.n))
+    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b != 0, in ascending order of b."""
+    return _boomerang_columns(f, range(1, 1 << f.n))
 
 
 def boomerang_spectrum(f):
     """beta(a,b) = #{x : F^-1(F(x)+b) + F^-1(F(x+a)+b) = a} over a, b != 0.
 
-    Built from beta(a,b) = #{(x,g) : D_gF(x) = b = D_gF(x+a)}: a column whose
-    DDT energy sum_g delta(g,b)^2 is below 2^(2n)/2 counts the pairs inside
-    its differential classes, any other compares v_b(x) = x + F^-1(F(x)+b)
-    with v_b(x+a) at every (a, x).  Raises NotAPermutation if F is not a
-    permutation.
+    Built from beta(a,b) = #{(x,g) : D_gF(x) = b = D_gF(x+a)}: one column per
+    rotation orbit, weighted by the orbit size, each counting the pairs
+    inside its differential classes in chunks of at most 2^16 pairs.
+    Raises NotAPermutation if F is not a permutation.
     """
     words, sizes = _orbits(f)
     weight = dict(zip(words.tolist(), sizes.tolist()))
-    columns = ((weight[b], column) for b, column in _boomerang_columns(f, words[1:]))
+    columns = ((weight[b], column) for b, column in _boomerang_columns(f, words[1:].tolist()))
     return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest)
 
 

@@ -269,6 +269,19 @@ def test_table_degree_examples():
     assert table_degree(constant_table(4, 9)) == 0
 
 
+def test_table_degree_is_the_largest_coordinate_degree():
+    # coordinate 0 is linear and coordinate 2 is x0 x1 x2; against the
+    # coordinate degrees one by one on random maps
+    x = np.arange(8)
+    assert table_degree(table_from_entries(3, (x & 1) | ((x == 7) << 2))) == 3
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        f = random_table(rng, n)
+        degrees = [component_degree(anf(f), 1 << i) for i in range(n)]
+        degrees = [d for d in degrees if d is not None]
+        assert table_degree(f) == (max(degrees) if degrees else None), n
+
+
 def test_degree_bounded_by_n():
     rng = np.random.default_rng(17)
     for n in (3, 5, 7):

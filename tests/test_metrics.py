@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,25 +228,6 @@ def test_blocked_spectra_across_block_boundaries(name):
         assert (rep.headline, rep.counts()) == oracles.spectrum_row(metric, f.entries), (name, metric)
 
 
-def test_boomerang_energy_from_orbit_representatives():
-    # P_b = sum_g DDT(g,b)^2 over every g != 0, against the rows of the
-    # representatives g rotated into place; equal energies give equal
-    # light and heavy column sets
-    sides = set()
-    for name in ("chi_nm:9:4", "chi_nm:8:5", "cchi:8", "random:8"):
-        if name == "random:8":
-            f = table_from_entries(8, np.random.default_rng(8).permutation(1 << 8))
-        else:
-            f = build(parse_family(name))
-        size = 1 << f.n
-        full = (oracles.differential_table(f.entries)[1:] ** 2).sum(axis=0)
-        energy = metrics._energy(f)
-        assert np.array_equal(energy, full), name
-        light = energy[1:] * metrics._LIGHT < size * size
-        sides.update(light.tolist())
-    assert sides == {True, False}
-
-
 def test_boomerang_requires_permutation():
     with pytest.raises(NotAPermutation):
         boomerang_spectrum(make_chi_nm(6, 3))
@@ -267,17 +249,39 @@ def test_boomerang_table_of_random_permutations(n):
         assert np.array_equal(_bct(f)[1:, 1:], oracles.boomerang_table(ent)[1:, 1:])
 
 
-def test_boomerang_table_on_both_sides_of_the_column_rule():
-    # column b is counted pair by pair when sum_g DDT(g,b)^2 < 2^(2n) / _LIGHT
-    sides = {}
+def test_boomerang_table_in_pair_chunks(monkeypatch):
+    # every column enumerates the pairs {t, t'} of its classes in chunks of
+    # at most _PAIRS; at a small cap the chunks cut through the classes, the
+    # large ones of chi_nm:7:6 and chi_nm:8:5 among them
+    small = 97
+    most = 0
     for spec in ("chi_nm:7:4", "chi_nm:8:5", "cchi:8", "chi:7", "chi_nm:7:6"):
         f = build(parse_family(spec))
-        size = 1 << f.n
-        energy = (oracles.differential_table(f.entries)[1:, 1:] ** 2).sum(axis=0)
-        light = energy * metrics._LIGHT < size * size
-        sides[spec] = "light" if light.all() else "heavy" if not light.any() else "mixed"
-        assert np.array_equal(_bct(f)[1:, 1:], oracles.boomerang_table(f.entries)[1:, 1:]), spec
-    assert set(sides.values()) == {"light", "mixed", "heavy"}, sides
+        want = oracles.boomerang_table(f.entries)[1:, 1:]
+        assert np.array_equal(_bct(f)[1:, 1:], want), spec
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_PAIRS", small)
+            assert np.array_equal(_bct(f)[1:, 1:], want), spec
+        # column b has sum_g C(DDT(g,b)/2, 2) pairs
+        half = oracles.differential_table(f.entries)[1:, 1:] // 2
+        most = max(most, int((half * (half - 1) // 2).sum(axis=0).max()))
+    assert most > small
+
+
+def test_boomerang_memory_capped_by_the_pair_chunks(monkeypatch):
+    # chi_{9,8} is close to the identity, so its classes are large: no
+    # temporary outgrows the chunks of _PAIRS pairs and a 2^n row (about
+    # 0.09 MB), while one chunk per column peaks at 0.52 MB and a
+    # [2^n, 2^n] buffer at 0.9 MB
+    f = make_chi_nm(9, 8)
+    monkeypatch.setattr(metrics, "_PAIRS", 1 << 10)
+    tracemalloc.start()
+    try:
+        boomerang_spectrum(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18, peak
 
 
 def test_boomerang_ddt_identity_at_n10():
