@@ -287,7 +287,7 @@ def table_degree(f):
 
     Returns None for the zero map (degree undefined).
     """
-    live = np.flatnonzero(anf(f).coeffs)
+    live = np.flatnonzero(_moebius(f.entries, f.n))
     if live.size == 0:
         return None
     return int(np.bitwise_count(live).max())

@@ -23,13 +23,15 @@ takes one row per orbit of S^t, its least word, weighted by the orbit size.
 The maps of the paper, chi, chi_{n,m}, theta_{m,k}, chi'_{n,3} and their
 group products, have t = 1, which cuts the rows about n-fold.
 
-Blocks.  The DDT, Walsh and DLCT rows are computed in blocks: the least
-words of one orbit size, at most 2^14 cells (2^14 / 2^n rows, one row when
-n > 14) at a time.  A DDT block is one bincount of F(x+a) + F(x) offset by
-the row's place in the block; a Walsh or DLCT block is one pass of int32
-butterflies over the flattened block, the widest of width 2^n.  Each block
-is tallied with one bincount, so the numpy calls per row fall by the block
-height while the temporaries stay a few hundred kilobytes.
+Blocks.  All four spectra take their representatives from the same blocks:
+the least words of one orbit size, at most 2^14 cells (2^14 / 2^n rows, one
+row when n > 14) at a time, each block carrying its orbit size as weight.
+A DDT block is one bincount of F(x+a) + F(x) offset by the row's place in
+the block; a Walsh or DLCT block is one pass of int32 butterflies over the
+flattened block, the widest of width 2^n.  Each block is tallied with one
+bincount, so the numpy calls per row fall by the block height while the
+temporaries stay a few hundred kilobytes.  The boomerang table takes the
+words of a block as its columns b and tallies them one at a time.
 
 The boomerang table is built column by column from the identity of Cid et
 al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmap import NotAPermutation, dump_json, invert, is_permutation
+from .boolmap import NotAPermutation, dump_json, invert, is_permutation, shift
 
 DOM_A_NONZERO = "a nonzero, all b"
 DOM_ALL_PAIRS = "all (a,b)"
@@ -88,19 +90,9 @@ def _spectrum(metric, n, rows, domain, headline):
     sorted (value, count) multiset to the headline statistic.
     """
     size = 1 << n
-    # the arrays of one weight share a tally, scaled once at the end, so a
-    # table without symmetry (all of weight 1) costs one bincount and one
-    # add per array
-    tally = {}
-    for weight, row in rows:
-        counts = np.bincount(row + size, minlength=2 * size + 1)
-        if weight in tally:
-            tally[weight] += counts
-        else:
-            tally[weight] = counts
     hist = np.zeros(2 * size + 1, dtype=np.int64)
-    for weight, counts in tally.items():
-        hist += weight * counts
+    for weight, row in rows:
+        hist += weight * np.bincount(row + size, minlength=2 * size + 1)
     multiset = tuple((int(i) - size, int(hist[i])) for i in np.flatnonzero(hist))
     return SpectrumReport(metric, n, headline(multiset), multiset, domain)
 
@@ -137,14 +129,12 @@ def _period(f):
     """(t, S^t entries) for the least t dividing n with F o S^t = S^t o F.
 
     One O(2^n) comparison per divisor, read off the entries alone; t = n,
-    where S^t is the identity, always qualifies.  S^t is the word rotation
-    of boolmap.shift, applied to the word array directly.
+    where S^t is the identity, always qualifies.
     """
     n, ent = f.n, f.entries
-    x = np.arange(1 << n, dtype=np.int64)
     for t in range(1, n + 1):
         if n % t == 0:
-            rot = ((x >> t) | (x << (n - t))) & ((1 << n) - 1)
+            rot = shift(n, t).entries
             if np.array_equal(ent[rot], rot[ent]):
                 return t, rot
 
@@ -275,21 +265,6 @@ def _boomerang_column(ent, inv, b):
     return (4 * pairs + np.bincount(v, minlength=size))[1:]
 
 
-def _boomerang_columns(f, columns):
-    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b in columns, all nonzero, in order."""
-    ok, _ = is_permutation(f)
-    if not ok:
-        raise NotAPermutation("boomerang spectrum needs a permutation")
-    inv = invert(f).entries
-    for b in columns:
-        yield b, _boomerang_column(f.entries, inv, b)
-
-
-def boomerang_columns(f):
-    """Yield (b, beta(a, b) for a = 1..2^n-1) for every b != 0, in ascending order of b."""
-    return _boomerang_columns(f, range(1, 1 << f.n))
-
-
 def boomerang_spectrum(f):
     """beta(a,b) = #{x : F^-1(F(x)+b) + F^-1(F(x+a)+b) = a} over a, b != 0.
 
@@ -298,9 +273,11 @@ def boomerang_spectrum(f):
     inside its differential classes in chunks of at most 2^16 pairs.
     Raises NotAPermutation if F is not a permutation.
     """
-    words, sizes = _orbits(f)
-    weight = dict(zip(words.tolist(), sizes.tolist()))
-    columns = ((weight[b], column) for b, column in _boomerang_columns(f, words[1:].tolist()))
+    ok, _ = is_permutation(f)
+    if not ok:
+        raise NotAPermutation("boomerang spectrum needs a permutation")
+    inv = invert(f).entries
+    columns = ((w, _boomerang_column(f.entries, inv, b)) for w, rows in _blocks(f, True) for b in rows.tolist())
     return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest)
 
 

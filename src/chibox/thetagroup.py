@@ -122,16 +122,8 @@ def group_mul(f, g):
 
 
 def group_inverse(f):
-    """Inverse via the convolution recurrence b_j = a_j + sum_{u+v=j} a_u b_v."""
-    _require_unit(f)
-    a = f.coeffs
-    b = [1] + [0] * f.ell
-    for j in range(1, f.ell + 1):
-        acc = a[j]
-        for u in range(1, j):
-            acc ^= a[u] & b[j - u]
-        b[j] = acc
-    return ThetaComb(f.n, f.m, tuple(b))
+    """Inverse f^(ord(f) - 1), a power read off element_order."""
+    return group_pow(f, element_order(f) - 1)
 
 
 def element_order(f):
@@ -148,9 +140,8 @@ def element_order(f):
 
 
 def is_involution(f):
-    """True iff f composed with itself is the identity: a_1..a_{ell//2} all 0."""
-    _require_unit(f)
-    return all(f.coeffs[i] == 0 for i in range(1, f.ell // 2 + 1))
+    """True iff f composed with itself is the identity, i.e. ord(f) <= 2."""
+    return element_order(f) <= 2
 
 
 def group_pow(f, k):

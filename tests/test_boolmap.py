@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,20 @@ def test_table_degree_is_the_largest_coordinate_degree():
         degrees = [component_degree(anf(f), 1 << i) for i in range(n)]
         degrees = [d for d in degrees if d is not None]
         assert table_degree(f) == (max(degrees) if degrees else None), n
+
+
+def test_table_degree_copies_the_table_once():
+    # the Moebius transform needs one 2^n-word copy of the entries; a second
+    # copy, such as an AnfTable built around it, doubles the peak
+    n = 20
+    f = make_chi_nm(n, 3)
+    tracemalloc.start()
+    try:
+        assert table_degree(f) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (1 << n), peak
 
 
 def test_degree_bounded_by_n():

@@ -325,7 +325,7 @@ def test_exit_code_3_domain(capsys):
     rc, _, err = run_cli(capsys, "construct", "chi:2")
     assert rc == 3 and "error:" in err
     rc, _, err = run_cli(capsys, "analyze", "chi_nm:6:3", "--metrics", "bct")
-    assert rc == 3
+    assert rc == 3 and err == "error: boomerang spectrum needs a permutation\n"
     rc, _, err = run_cli(capsys, "group", "--n", "6", "--m", "3", "--coeffs", "110", "order")
     assert rc == 3
     rc, _, err = run_cli(capsys, "group", "--n", "8", "--m", "3", "--coeffs", "010", "inverse")
