@@ -196,15 +196,21 @@ def cycle_structure(f):
 
     Pointer doubling labels each word with the least word of its cycle: after
     round k, label[u] is the least of u, f(u), ..., f^(2^k - 1)(u) and p is
-    f^(2^k), so n rounds cover every cycle.  The tally of the labels gives
-    each cycle's length, and the tally of the lengths their multiplicities.
+    f^(2^k), so n rounds cover every cycle.  The doubling stops early once
+    a round leaves the labels unchanged: then labels never fall along steps
+    of p, which return to their start, so the windows of 2^k words that
+    tile a cycle all hold its least word.  The tally of the labels gives each
+    cycle's length, and the tally of the lengths their multiplicities.
     Raises NotAPermutation when f is not a permutation.
     """
     _require_permutation(f)
     p = f.entries.astype(np.int32)
     label = np.arange(1 << f.n, dtype=np.int32)
     for _ in range(f.n):
-        label = np.minimum(label, label[p])
+        merged = np.minimum(label, label[p])
+        if np.array_equal(merged, label):
+            break
+        label = merged
         p = p[p]
     sizes = np.bincount(label)
     counts = np.bincount(sizes[sizes > 0])

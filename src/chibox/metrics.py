@@ -27,11 +27,18 @@ Blocks.  All four spectra take their representatives from the same blocks:
 the least words of one orbit size, at most 2^14 cells (2^14 / 2^n rows, one
 row when n > 14) at a time, each block carrying its orbit size as weight.
 A DDT block is one bincount of F(x+a) + F(x) offset by the row's place in
-the block; a Walsh or DLCT block is one pass of int32 butterflies over the
-flattened block, the widest of width 2^n.  Each block is tallied with one
-bincount, so the numpy calls per row fall by the block height while the
-temporaries stay a few hundred kilobytes.  The boomerang table takes the
-words of a block as its columns b and tallies them one at a time.
+the block; a Walsh or DLCT block is transformed by two float32 matrix
+products, H_(2^n) = H_(2^hi) (x) H_(2^lo) applied to each row read as a
+[2^hi, 2^lo] matrix, which BLAS runs as sgemm (exact, see _wht; the
+OPENBLAS_NUM_THREADS environment variable sets the threads it may use).
+Each block is tallied with one bincount, so the numpy calls per row fall by
+the block height while the temporaries stay a few hundred kilobytes.  The
+boomerang table takes the words of a block as its columns b and tallies
+them one at a time.
+
+Self-check.  Before it is reported, every multiset must have the size of
+its domain and, for DDT, Walsh and DLCT, the sum or sum of squares of a
+true table (see _spectrum), so a wrong entry raises RuntimeError instead.
 
 The boomerang table is built column by column from the identity of Cid et
 al. (EUROCRYPT 2018) and Boura and Canteaut (ToSC 2018(3)):
@@ -50,6 +57,7 @@ pairs, so no temporary outgrows a 2^16-entry chunk or a 2^n row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +90,26 @@ class SpectrumReport:
         return sum(c for _, c in self.multiset)
 
 
-def _spectrum(metric, n, rows, domain, headline):
+def _spectrum(metric, n, rows, domain, headline, moments):
     """Report of the value multiset of rows, (weight, flat integer array over [-2^n, 2^n]) pairs.
 
     Every flat array, one row or a block of rows, is tallied with one
     bincount at offset 2^n and counted weight times; headline maps the
-    sorted (value, count) multiset to the headline statistic.
+    sorted (value, count) multiset to the headline statistic.  Before it
+    returns, the multiset must meet the count identities of every true
+    table, sum v^k c = want for each (k, want) of moments, k = 0 giving the
+    size of the domain; a mismatch raises RuntimeError.
     """
     size = 1 << n
     hist = np.zeros(2 * size + 1, dtype=np.int64)
     for weight, row in rows:
         hist += weight * np.bincount(row + size, minlength=2 * size + 1)
     multiset = tuple((int(i) - size, int(hist[i])) for i in np.flatnonzero(hist))
+    for k, want in moments:
+        got = sum(v**k * c for v, c in multiset)
+        if got != want:
+            msg = "%s spectrum of n=%d fails its count identity: sum v^%d c = %d, not %d"
+            raise RuntimeError(msg % (metric, n, k, got, want))
     return SpectrumReport(metric, n, headline(multiset), multiset, domain)
 
 
@@ -106,23 +122,31 @@ def _values_without(multiset, value, count):
     return [v for v, c in multiset if c > (count if v == value else 0)]
 
 
-def _wht(block):
-    """Walsh-Hadamard transform of every row of an int32 [rows, 2^n] block, in place.
+@functools.cache
+def _hadamard(k):
+    # the Sylvester-Hadamard matrix H_(2^k), H[u, v] = (-1)^(u.v), as float32
+    u = np.arange(1 << k)
+    return 1 - 2 * (np.bitwise_count(u[:, None] & u) & 1).astype(np.float32)
 
-    One pass of size-doubling butterflies over the flattened block; the
-    widest pairs the two halves of a row, so rows never mix.  int32 is
-    exact: every value and partial sum is bounded by 2^n <= 2^24.
+
+def _wht(block):
+    """Walsh-Hadamard transform of every row of a float32 [rows, 2^n] block, as int32.
+
+    H_(2^n) = H_(2^hi) (x) H_(2^lo) with lo = ceil(n/2): read as a
+    [2^hi, 2^lo] matrix X, a row transforms to H_hi X H_lo, one matrix
+    product over the rows of every X and one over each X's columns, both
+    float32 BLAS.  float32 is exact: every partial sum of either product is
+    a signed sum of distinct entries of one row, so it is an integer bounded
+    by their absolute sum, 2^n for a +-1 Walsh row and for a DDT row, and
+    n <= 24 keeps that within the 2^24 that float32 holds exactly, whatever
+    order the sums run in.
     """
-    flat = block.reshape(-1)
-    h = 1
-    while h < block.shape[1]:
-        v = flat.reshape(-1, 2, h)
-        lo, hi = v[:, 0], v[:, 1]
-        total = lo + hi
-        np.subtract(lo, hi, out=hi)
-        lo[...] = total
-        h *= 2
-    return block
+    rows, size = block.shape
+    n = size.bit_length() - 1
+    lo = (n + 1) // 2
+    half = block.reshape(-1, 1 << lo) @ _hadamard(lo)
+    full = np.matmul(_hadamard(n - lo), half.reshape(rows, 1 << (n - lo), 1 << lo))
+    return full.reshape(rows, size).astype(np.int32)
 
 
 def _period(f):
@@ -156,8 +180,9 @@ def _orbits(f):
 
 
 # A block of rows holds at most this many cells, one row when a row is longer,
-# so an int64 temporary of a block takes at most 128 KiB: a smaller cap brings
-# back the per-call overhead, a larger one raises the peak memory.
+# so an int64 temporary of a block takes at most 128 KiB and its float32 and
+# int32 transforms half that each: a smaller cap brings back the per-call
+# overhead, a larger one raises the peak memory.
 _BLOCK = 1 << 14
 
 
@@ -190,13 +215,14 @@ def _ddt_block(ent, rows):
 def differential_spectrum(f):
     """delta(a,b) = #{x : F(x+a) + F(x) = b}, tallied over a != 0 and all b."""
     blocks = ((w, _ddt_block(f.entries, rows).reshape(-1)) for w, rows in _blocks(f, True))
-    return _spectrum("differential", f.n, blocks, DOM_A_NONZERO, _largest)
+    cells = ((1 << f.n) - 1) << f.n
+    return _spectrum("differential", f.n, blocks, DOM_A_NONZERO, _largest, [(0, cells), (1, cells)])
 
 
 def _walsh_block(ent, rows):
     # W(a, .) of every output mask a in rows: the transform of (-1)^(a.F(x))
     parity = np.bitwise_count(ent & rows[:, None]) & 1
-    return _wht(1 - 2 * parity.astype(np.int32))
+    return _wht(1 - 2 * parity.astype(np.float32))
 
 
 def walsh_values(f, a):
@@ -216,7 +242,7 @@ def walsh_spectrum(f):
     def nonlinearity(multiset):
         return (1 << (n - 1)) - max(abs(v) for v in _values_without(multiset, 1 << n, 1)) // 2
 
-    return _spectrum("walsh", n, blocks, DOM_ALL_PAIRS, nonlinearity)
+    return _spectrum("walsh", n, blocks, DOM_ALL_PAIRS, nonlinearity, [(0, 1 << (2 * n)), (2, 1 << (3 * n))])
 
 
 # A boomerang column enumerates its pairs {t, t'} in chunks of at most this
@@ -278,7 +304,7 @@ def boomerang_spectrum(f):
         raise NotAPermutation("boomerang spectrum needs a permutation")
     inv = invert(f).entries
     columns = ((w, _boomerang_column(f.entries, inv, b)) for w, rows in _blocks(f, True) for b in rows.tolist())
-    return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest)
+    return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest, [(0, ((1 << f.n) - 1) ** 2)])
 
 
 def dlct_spectrum(f):
@@ -287,15 +313,20 @@ def dlct_spectrum(f):
     Row a is half the transform of the output-difference histogram: with
     c_v = #{x : F(x)+F(x+a) = v}, DLCT(a,b) = (sum_v c_v (-1)^(b.v)) / 2.
     The headline is the maximum over b != 0; DLCT(a,0) = 2^(n-1) in every row.
+    Row a sums to 2^(n-1) c_0, so the table sums to 2^(n-1) times the pairs
+    x != y with F(x) = F(y), sum_y k_y (k_y - 1) over the preimage counts.
     """
     n = f.n
-    ddt = ((w, _ddt_block(f.entries, rows).astype(np.int32)) for w, rows in _blocks(f, True))
+    k = np.bincount(f.entries)
+    collisions = int((k * (k - 1)).sum())
+    ddt = ((w, _ddt_block(f.entries, rows).astype(np.float32)) for w, rows in _blocks(f, True))
     blocks = ((w, _wht(block).reshape(-1) >> 1) for w, block in ddt)
 
     def uniformity(multiset):
         return max(_values_without(multiset, 1 << (n - 1), (1 << n) - 1))
 
-    return _spectrum("dlct", n, blocks, DOM_A_NONZERO, uniformity)
+    cells = ((1 << n) - 1) << n
+    return _spectrum("dlct", n, blocks, DOM_A_NONZERO, uniformity, [(0, cells), (1, collisions << (n - 1))])
 
 
 def render_spectrum(report):

@@ -15,8 +15,9 @@ tests/golden.py over the same domains and headline maxima.  Every table
 costs O(2^(3n)) time and O(2^(2n)) memory, well under a second at n = 8.
 
 fixed_point_predicate tests one word against the cyclic window that
-chibox.thetagroup.predicate_fixed_set evaluates on all words at once, and
-cycle_lengths walks the cycles of a permutation one word at a time.
+chibox.thetagroup.predicate_fixed_set evaluates on all words at once,
+cycle_lengths walks the cycles of a permutation one word at a time, and wht
+is the int32 butterfly that chibox.metrics._wht's matrix products replace.
 """
 
 import numpy as np
@@ -138,3 +139,22 @@ def cycle_lengths(entries):
         if length:
             counts[length] = counts.get(length, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def wht(block):
+    """Walsh-Hadamard transform of every row of an int32 [rows, 2^n] block, in place.
+
+    One pass of size-doubling butterflies over the flattened block; the
+    widest pairs the two halves of a row, so rows never mix.  int32 is
+    exact: every value and partial sum is bounded by 2^n <= 2^24.
+    """
+    flat = block.reshape(-1)
+    h = 1
+    while h < block.shape[1]:
+        v = flat.reshape(-1, 2, h)
+        lo, hi = v[:, 0], v[:, 1]
+        total = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
+        h *= 2
+    return block

@@ -226,6 +226,19 @@ def test_cycle_structure():
         cycle_structure(make_chi_nm(6, 3))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cycle_structure_against_a_cycle_walk(n):
+    # wherever the doubling stops, after a few rounds on chi_{n,3}, whose
+    # cycles are short, or after up to n on a random permutation, the cycles
+    # are those of a walk word by word
+    rng = np.random.default_rng(40 + n)
+    maps = [random_permutation(rng, n) for _ in range(3)]
+    if n > 3 and n % 3:
+        maps.append(make_chi_nm(n, 3))
+    for f in maps:
+        assert cycle_structure(f).cycle_lengths == oracles.cycle_lengths(f.entries)
+
+
 def test_fixed_points_match_length_one_cycles():
     rng = np.random.default_rng(5)
     for n in (3, 5, 8):

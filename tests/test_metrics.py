@@ -30,7 +30,7 @@ from chibox import (
     walsh_values,
 )
 
-from chibox import metrics
+from chibox import cli, metrics
 
 import golden
 from oracles import walsh_table
@@ -229,6 +229,74 @@ def test_blocked_spectra_across_block_boundaries(name):
             continue
         rep = spectrum(f)
         assert (rep.headline, rep.counts()) == oracles.spectrum_row(metric, f.entries), (name, metric)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_wht_equals_the_butterfly(n):
+    # the two float32 matrix products are exact on +-1 rows and on DDT rows,
+    # the row a = 0, a single 2^n, among them
+    rng = np.random.default_rng(100 + n)
+    height = max(2, metrics._BLOCK >> n)
+    signs = 1 - 2 * rng.integers(0, 2, size=(height, 1 << n))
+    ent = rng.integers(0, 1 << n, size=1 << n)
+    rows = np.concatenate(([0], rng.integers(1, 1 << n, size=height - 1)))
+    ddt = metrics._ddt_block(ent, rows)
+    assert ddt[0, 0] == 1 << n and np.count_nonzero(ddt[0]) == 1
+    for block in (signs, ddt):
+        got = metrics._wht(block.astype(np.float32))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, oracles.wht(block.astype(np.int32))), n
+
+
+def test_walsh_rows_of_the_identity_at_n20():
+    # W(a, b) = 2^n at b = a and 0 elsewhere: the largest value float32 must
+    # hold exactly, at the widest row the CLI takes
+    n = 20
+    f = identity_table(n)
+    for a in (1, 0x5A5A5, (1 << n) - 1):
+        row = walsh_values(f, a)
+        assert row.dtype == np.int32
+        assert np.flatnonzero(row).tolist() == [a]
+        assert row[a] == 1 << n
+
+
+def test_identity_spectra_at_n13():
+    size = 1 << 13
+    f = identity_table(13)
+    assert walsh_spectrum(f).counts() == {size: size, 0: size * size - size}
+    half = (size - 1) * size // 2
+    assert dlct_spectrum(f).counts() == {-(size // 2): half, size // 2: half}
+
+
+def test_spectra_check_their_count_identities(monkeypatch, capsys):
+    # one wrong entry, as an inexact matrix product would give, fails a count
+    # identity and ends in an internal error, never in a printed row
+    wht, ddt_block = metrics._wht, metrics._ddt_block
+
+    def corrupt(fn):
+        def wrong(*args):
+            out = fn(*args)
+            out.flat[1] += 2
+            return out
+
+        return wrong
+
+    f = make_chi(5)
+    monkeypatch.setattr(metrics, "_wht", corrupt(wht))
+    with pytest.raises(RuntimeError, match="^walsh spectrum of n=5 fails its count identity"):
+        walsh_spectrum(f)
+    with pytest.raises(RuntimeError, match="^dlct spectrum of n=5 fails its count identity"):
+        dlct_spectrum(f)
+    for metric in ("walsh", "dlct"):
+        assert cli.main(["analyze", "chi:5", "--metrics", metric]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal error: %s spectrum of n=5" % metric)
+        assert err.count("\n") == 1 and err.endswith("\n")
+    monkeypatch.setattr(metrics, "_wht", wht)
+    monkeypatch.setattr(metrics, "_ddt_block", corrupt(ddt_block))
+    with pytest.raises(RuntimeError, match="^differential spectrum of n=5 fails its count identity"):
+        differential_spectrum(f)
 
 
 def test_boomerang_requires_permutation():
