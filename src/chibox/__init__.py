@@ -88,6 +88,7 @@ from .thetagroup import (
     ThetaComb,
     bitstring,
     chi_comb,
+    comb_degree,
     comb_from_bitstring,
     comb_to_table,
     element_order,

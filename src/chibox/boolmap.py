@@ -29,8 +29,31 @@ def _check_n(n):
 
 
 def dump_json(doc):
-    """The byte form of every chibox document: compact one-line JSON plus newline."""
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """The byte form of every chibox document: compact one-line JSON plus newline.
+
+    A TruthTable value, always the last field, is written as the array of its
+    entries in hex (hex_digits), quoted and comma-separated in one uint8 array.
+    """
+    key, table = next(reversed(doc.items()), (None, None))
+    if not isinstance(table, TruthTable):
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+    width = (table.n + 3) // 4
+    cells = np.full((1 << table.n, width + 3), ord(","), dtype=np.uint8)
+    cells[:, [0, -2]] = ord('"')
+    cells[:, 1:-2] = hex_digits(table.entries, table.n)
+    head = json.dumps({**doc, key: []}, separators=(",", ":"))[:-2]
+    return "%s%s]}\n" % (head, str(memoryview(cells.reshape(-1)[:-1]), "ascii"))
+
+
+def hex_digits(words, n):
+    """[len(words), ceil(n/4)] uint8 array of each word's lowercase hex digits, zero-padded."""
+    words = np.asarray(words, dtype=np.int64)
+    width = (n + 3) // 4
+    hexchars = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    digits = np.empty((words.size, width), dtype=np.uint8)
+    for i in range(width):
+        digits[:, width - 1 - i] = hexchars[(words >> (4 * i)) & 15]
+    return digits
 
 
 def word_from_bits(bits):
@@ -224,8 +247,7 @@ def cycle_structure(f):
 
 def fixed_points(f):
     """All inputs u with f(u) = u, ascending by word value."""
-    idx = np.nonzero(f.entries == np.arange(1 << f.n, dtype=np.int64))[0]
-    return [int(u) for u in idx]
+    return np.flatnonzero(f.entries == np.arange(1 << f.n, dtype=np.int64)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,24 +321,13 @@ def table_degree(f):
     return int(np.bitwise_count(live).max())
 
 
-def hex_entries(f):
-    """F(u) for every u as lowercase hex, zero-padded to ceil(n/4) digits."""
-    width = (f.n + 3) // 4
-    return ["%0*x" % (width, y) for y in f.entries.tolist()]
-
-
-def table_to_json(f, family="", entries=None):
+def table_to_json(f, family=""):
     """Serialize a table to the interchange document.
 
-    Fields: n, family (free-form provenance string), entries (hex_entries(f),
-    entry u = F(u)); pass entries when that list is already at hand.
+    Fields: n, family (free-form provenance string), entries (entry u = F(u)
+    in hex, see dump_json).
     """
-    doc = {
-        "n": f.n,
-        "family": family,
-        "entries": hex_entries(f) if entries is None else entries,
-    }
-    return dump_json(doc)
+    return dump_json({"n": f.n, "family": family, "entries": f})
 
 
 def table_from_json(text):

@@ -88,20 +88,6 @@ def _bitstring(word, n):
     return "".join(str((word >> i) & 1) for i in range(n))
 
 
-def _hexword(word, n):
-    return format(word, "0%dx" % ((n + 3) // 4))
-
-
-def _table_output(args, doc, lines, table, family):
-    """A command result whose -o document is the truth table, not the report.
-
-    The -o document shares the hex entries of doc instead of formatting them again.
-    """
-    if args.output:
-        lines.append("wrote: %s" % args.output)
-    return doc, "\n".join(lines) + "\n", lambda: boolmap.table_to_json(table, family, doc["entries"])
-
-
 def cmd_construct(args):
     fs = families.parse_family(args.spec)
     table = families.build(fs)
@@ -115,7 +101,7 @@ def cmd_construct(args):
         "permutation": ok,
         "witness": None if witness is None else [witness[0], witness[1]],
         "degree": degree,
-        "entries": boolmap.hex_entries(table),
+        "entries": table,
     }
     lines = [
         "family: %s" % family,
@@ -132,7 +118,7 @@ def cmd_construct(args):
             )
         )
     lines.append("degree: %s" % ("undefined" if degree is None else degree))
-    return _table_output(args, doc, lines, table, family)
+    return doc, "\n".join(lines) + "\n", (table, family)
 
 
 def _metric_reports(table, selected):
@@ -215,18 +201,14 @@ def cmd_group(args):
         family = "comb:%d:%d:%s" % (args.n, args.m, thetagroup.bitstring(comb))
         ok, _ = boolmap.is_permutation(table)
         doc["permutation"] = ok
-        doc["entries"] = boolmap.hex_entries(table)
-        lines = ["family: %s" % family, "n: %d" % table.n, "permutation: %s" % ("true" if ok else "false")]
-        return _table_output(args, doc, lines, table, family)
+        doc["entries"] = table
+        text = "family: %s\nn: %d\npermutation: %s\n" % (family, table.n, "true" if ok else "false")
+        return doc, text, (table, family)
     if query == "inverse":
         inv = thetagroup.group_inverse(comb)
-        degree = boolmap.table_degree(thetagroup.comb_to_table(inv))
         doc["inverse"] = thetagroup.bitstring(inv)
-        doc["degree"] = degree
-        text = "inverse: %s\ndegree: %s\n" % (
-            doc["inverse"],
-            "undefined" if degree is None else degree,
-        )
+        doc["degree"] = thetagroup.comb_degree(inv)
+        text = "inverse: %s\ndegree: %d\n" % (doc["inverse"], doc["degree"])
     elif query == "order":
         doc["order"] = thetagroup.element_order(comb)
         text = "order: %d\n" % doc["order"]
@@ -275,7 +257,7 @@ def cmd_fixed_points(args):
         "count": len(points),
         "predicate_count": predicate_count,
         "agree": agree,
-        "sample": [_hexword(w, args.n) for w in sample],
+        "sample": [d.tobytes().decode() for d in boolmap.hex_digits(sample, args.n)],
     }
     lines = ["fixed points of chi_{%d,%d}^%d: %d" % (args.n, args.m, k, len(points))]
     if agree is not None:
@@ -359,11 +341,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         # each command returns its report document, its text form, and, when
-        # -o writes another document, the function that makes it (else None);
-        # a table document is made only here, so it is freed before printing
-        doc, text, document = args.func(args)
+        # -o writes a truth-table document instead of the report, (table, family)
+        doc, text, table = args.func(args)
         if args.output:
-            _write_out(args.output, document() if document else dump_json(doc))
+            _write_out(args.output, boolmap.table_to_json(*table) if table else dump_json(doc))
+            text += "wrote: %s\n" % args.output if table else ""
     except (UsageError, FamilyParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -92,6 +92,17 @@ def comb_to_table(c):
     return acc
 
 
+def comb_degree(c):
+    """Algebraic degree of comb_to_table(c): (m-1)K + 1, K the top index with a_K = 1.
+
+    theta_{m,k} has degree (m-1)k + 1: its top monomial is the product of its
+    (m-1)k + 1 window variables, distinct since mK <= n, and no theta of a
+    lower index holds that monomial.  None for the zero combination.
+    """
+    top = max((k for k, a in enumerate(c.coeffs) if a), default=None)
+    return None if top is None else (c.m - 1) * top + 1
+
+
 def _require_unit(c):
     if not c.is_unit():
         raise NonUnitError("constant coefficient a_0 must be 1 for group operations")

@@ -16,8 +16,10 @@ costs O(2^(3n)) time and O(2^(2n)) memory, well under a second at n = 8.
 
 fixed_point_predicate tests one word against the cyclic window that
 chibox.thetagroup.predicate_fixed_set evaluates on all words at once,
-cycle_lengths walks the cycles of a permutation one word at a time, and wht
-is the int32 butterfly that chibox.metrics._wht's matrix products replace.
+cycle_lengths walks the cycles of a permutation one word at a time, wht
+is the int32 butterfly that chibox.metrics._wht's matrix products replace,
+and hex_entries formats a table's entries one Python string at a time, the
+form chibox.boolmap.dump_json writes from one digit array.
 """
 
 import numpy as np
@@ -158,3 +160,9 @@ def wht(block):
         lo[...] = total
         h *= 2
     return block
+
+
+def hex_entries(f):
+    """F(u) for every u as lowercase hex, zero-padded to ceil(n/4) digits."""
+    width = (f.n + 3) // 4
+    return ["%0*x" % (width, y) for y in f.entries.tolist()]

@@ -337,6 +337,18 @@ def test_serialization_round_trip():
     assert all(len(h) == 1 for h in doc4["entries"])
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_table_document_equals_the_reference_writer(n):
+    # dump_json writes the entries from one digit array; the reference makes
+    # one string per entry and lets json.dumps quote the family
+    rng = np.random.default_rng(n)
+    for f in (identity_table(n), random_permutation(rng, n), random_table(rng, n)):
+        entries = oracles.hex_entries(f)
+        for family in ("", 'quo"te', "back\\slash", "n\u00e4ive \u2713", "chi_nm:%d:3" % n):
+            doc = {"n": n, "family": family, "entries": entries}
+            assert table_to_json(f, family) == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 def test_serialization_rejects_bad_documents():
     with pytest.raises(ValueError):
         table_from_json('{"n":2,"family":"","entries":["0","1","2"]}')

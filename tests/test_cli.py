@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,11 @@ def test_group_inverse(capsys):
     rc, out, _ = run_cli(capsys, "group", "--n", "8", "--m", "3", "--coeffs", "110", "inverse")
     assert "inverse: 111" in out
     assert "degree: 5" in out
+    # the inverse and its degree are symbolic, so n > 24 needs no table
+    coeffs = "11" + "0" * 20
+    rc, out, err = run_cli(capsys, "group", "--n", "64", "--m", "3", "--coeffs", coeffs, "inverse")
+    assert rc == 0 and err == ""
+    assert out == "inverse: %s\ndegree: 43\n" % ("1" * 22)
 
 
 def test_group_order_and_involution(capsys):
@@ -209,6 +215,9 @@ def test_group_materialize(tmp_path, capsys):
     [
         ("construct", "chi_nm:8:3"),
         ("group", "--n", "8", "--m", "3", "--coeffs", "101", "materialize"),
+        ("group", "--n", "1", "--m", "2", "--coeffs", "1", "materialize"),
+        ("construct", "chi_nm:5:3"),
+        ("construct", "chi_nm:13:3"),
     ],
 )
 def test_table_document_entries_equal_stdout_entries(tmp_path, capsys, argv):
@@ -220,6 +229,23 @@ def test_table_document_entries_equal_stdout_entries(tmp_path, capsys, argv):
     assert json.loads(written)["entries"] == printed["entries"]
     table, family = table_from_json(written)
     assert written == chibox.table_to_json(table, family)
+
+
+@pytest.mark.parametrize("fmt, bound", [("structured", 10), ("text", 8)])
+def test_construct_memory_peak(capsys, fmt, bound):
+    # the entries are written from one digit array, never as 2^n strings,
+    # and text output does not format them at all
+    n = 16
+    main(["construct", "chi_nm:%d:3" % n, "--format", fmt])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["construct", "chi_nm:%d:3" % n, "--format", fmt]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out
+    assert peak < bound * 8 * (1 << n), peak / (8 * (1 << n))
 
 
 def test_fixed_points_counts(capsys):

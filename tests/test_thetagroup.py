@@ -8,6 +8,7 @@ from chibox import (
     ThetaComb,
     bitstring,
     chi_comb,
+    comb_degree,
     comb_from_bitstring,
     comb_to_table,
     compose,
@@ -27,6 +28,7 @@ from chibox import (
     order_exponent,
     pointwise_add,
     predicate_fixed_set,
+    table_degree,
 )
 
 import golden
@@ -108,6 +110,20 @@ def test_group_inverse_exhaustive():
             assert group_mul(c, inv).coeffs == ident.coeffs
             assert group_mul(inv, c).coeffs == ident.coeffs
             assert comb_to_table(inv) == invert(comb_to_table(c))
+
+
+def test_comb_degree_equals_the_materialized_degree():
+    checked = 0
+    for n in range(1, 13):
+        for m in range(2, n + 1):
+            if n % m == 0:
+                continue
+            for c in all_units(n, m):
+                for u in (c, group_inverse(c)):
+                    assert comb_degree(u) == table_degree(comb_to_table(u)), (n, m, u.coeffs)
+                checked += 1
+    assert checked == 164
+    assert comb_degree(ThetaComb(8, 3, (0, 0, 0))) is None
 
 
 def test_element_order_exhaustive():
