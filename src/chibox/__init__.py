@@ -25,7 +25,6 @@ from .boolmap import (
     constant_table,
     cycle_structure,
     fixed_points,
-    from_anf,
     hadamard,
     identity_table,
     invert,
@@ -79,7 +78,6 @@ from .metrics import (
     differential_spectrum,
     dlct_spectrum,
     render_spectrum,
-    report_to_json,
     walsh_spectrum,
     walsh_values,
 )

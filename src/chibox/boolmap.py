@@ -45,14 +45,19 @@ def dump_json(doc):
     return "%s%s]}\n" % (head, str(memoryview(cells.reshape(-1)[:-1]), "ascii"))
 
 
+_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# the value of each byte as a lowercase hex digit, 16 for every other byte
+_NIBBLE = np.full(256, 16, dtype=np.uint8)
+_NIBBLE[_HEX_CHARS] = np.arange(16)
+
+
 def hex_digits(words, n):
     """[len(words), ceil(n/4)] uint8 array of each word's lowercase hex digits, zero-padded."""
     words = np.asarray(words, dtype=np.int64)
     width = (n + 3) // 4
-    hexchars = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
     digits = np.empty((words.size, width), dtype=np.uint8)
     for i in range(width):
-        digits[:, width - 1 - i] = hexchars[(words >> (4 * i)) & 15]
+        digits[:, width - 1 - i] = _HEX_CHARS[(words >> (4 * i)) & 15]
     return digits
 
 
@@ -290,11 +295,6 @@ def anf(f):
     return AnfTable(f.n, _moebius(f.entries, f.n))
 
 
-def from_anf(a):
-    """Truth table reproducing the given ANF (the transform is an involution)."""
-    return TruthTable(a.n, _moebius(a.coeffs, a.n))
-
-
 def component_degree(a, mask):
     """Algebraic degree of the component function mask . F.
 
@@ -330,10 +330,55 @@ def table_to_json(f, family=""):
     return dump_json({"n": f.n, "family": family, "entries": f})
 
 
+def _read_dumped(text):
+    """(head, entries) of a document whose entries array is as dump_json writes it, else None.
+
+    That array is the last field: 2^n quoted words of ceil(n/4) lowercase hex
+    digits, comma-separated, followed only by "}" and an optional newline.
+    The head, with the array emptied, goes through json; the words are read
+    from one uint8 array, one digit column at a time.  Each such word is
+    hex_digits of its value, so dump_json writes back the entries read here.
+    """
+    start = text.rfind('"entries":[') + len('"entries":[')
+    if start < len('"entries":['):
+        return None
+    try:
+        doc = json.loads(text[:start] + "]}")
+        n = doc["n"]
+        _check_n(n)
+        width = (n + 3) // 4
+        end = start + ((width + 3) << n)
+        if text[end:] not in ("}", "}\n"):
+            return None
+        cells = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
+    except (KeyError, ValueError):
+        return None
+    cells = cells.reshape(1 << n, width + 3)
+    quotes, commas = cells[:, [0, -2]], cells[:-1, -1]
+    if not ((quotes == ord('"')).all() and (commas == ord(",")).all() and cells[-1, -1] == ord("]")):
+        return None
+    words = np.zeros(1 << n, dtype=np.int64)
+    for col in range(1, width + 1):
+        nibbles = _NIBBLE[cells[:, col]]
+        if nibbles.max() > 15:
+            return None
+        words <<= 4
+        words |= nibbles
+    return doc, words
+
+
 def table_from_json(text):
-    """Parse the interchange document; returns (TruthTable, family string)."""
-    doc = json.loads(text)
-    n = doc["n"]
-    _check_n(n)
-    entries = [int(h, 16) for h in doc["entries"]]
-    return TruthTable(n, np.asarray(entries, dtype=np.int64)), str(doc.get("family", ""))
+    """Parse the interchange document; returns (TruthTable, family string).
+
+    A document whose entries are as dump_json writes them is read in one
+    pass (_read_dumped); any other JSON document, bytes included, goes
+    through json.loads, with int(h, 16) per entry.
+    """
+    parsed = _read_dumped(text) if isinstance(text, str) else None
+    if parsed is None:
+        doc = json.loads(text)
+        _check_n(doc["n"])
+        words = [int(h, 16) for h in doc["entries"]]
+    else:
+        doc, words = parsed
+    return TruthTable(doc["n"], np.asarray(words, dtype=np.int64)), str(doc.get("family", ""))

@@ -84,10 +84,6 @@ def _resolve_target(target):
     return families.build(fs), families.spec_string(fs)
 
 
-def _bitstring(word, n):
-    return "".join(str((word >> i) & 1) for i in range(n))
-
-
 def cmd_construct(args):
     fs = families.parse_family(args.spec)
     table = families.build(fs)
@@ -109,14 +105,9 @@ def cmd_construct(args):
         "permutation: %s" % ("true" if ok else "false"),
     ]
     if witness is not None:
-        lines.append(
-            "collision: %s and %s both map to %s"
-            % (
-                _bitstring(witness[0], table.n),
-                _bitstring(witness[1], table.n),
-                _bitstring(table[witness[0]], table.n),
-            )
-        )
+        words = (witness[0], witness[1], table[witness[0]])
+        bits = ["".join(map(str, boolmap.bits_of(w, table.n))) for w in words]
+        lines.append("collision: %s and %s both map to %s" % tuple(bits))
     lines.append("degree: %s" % ("undefined" if degree is None else degree))
     return doc, "\n".join(lines) + "\n", (table, family)
 
@@ -262,7 +253,8 @@ def cmd_fixed_points(args):
     lines = ["fixed points of chi_{%d,%d}^%d: %d" % (args.n, args.m, k, len(points))]
     if agree is not None:
         lines.append("predicate count: %d (agreement: %s)" % (predicate_count, "yes" if agree else "NO"))
-    lines.append("sample (x0 first): %s" % " ".join(_bitstring(w, args.n) for w in sample))
+    bits = ("".join(map(str, boolmap.bits_of(w, args.n))) for w in sample)
+    lines.append("sample (x0 first): %s" % " ".join(bits))
     return doc, "\n".join(lines) + "\n", None
 
 

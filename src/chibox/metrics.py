@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmap import NotAPermutation, dump_json, invert, is_permutation, shift
+from .boolmap import NotAPermutation, invert, is_permutation, shift
 
 DOM_A_NONZERO = "a nonzero, all b"
 DOM_ALL_PAIRS = "all (a,b)"
@@ -351,7 +351,3 @@ def report_doc(report):
         "spectrum": [[int(v), int(c)] for v, c in report.multiset],
         "domain": report.domain,
     }
-
-
-def report_to_json(report):
-    return dump_json(report_doc(report))

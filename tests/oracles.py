@@ -19,10 +19,17 @@ chibox.thetagroup.predicate_fixed_set evaluates on all words at once,
 cycle_lengths walks the cycles of a permutation one word at a time, wht
 is the int32 butterfly that chibox.metrics._wht's matrix products replace,
 and hex_entries formats a table's entries one Python string at a time, the
-form chibox.boolmap.dump_json writes from one digit array.
+form chibox.boolmap.dump_json writes from one digit array.  table_from_json
+reads any table document through json.loads and int(h, 16) per entry, the
+reference for chibox.boolmap.table_from_json, which reads documents in
+dump_json's form from one byte array.
 """
 
+import json
+
 import numpy as np
+
+from chibox.boolmap import TruthTable, _check_n
 
 
 def _dot(u, v):
@@ -166,3 +173,12 @@ def hex_entries(f):
     """F(u) for every u as lowercase hex, zero-padded to ceil(n/4) digits."""
     width = (f.n + 3) // 4
     return ["%0*x" % (width, y) for y in f.entries.tolist()]
+
+
+def table_from_json(text):
+    """(TruthTable, family string) of a table document, one Python int per entry."""
+    doc = json.loads(text)
+    n = doc["n"]
+    _check_n(n)
+    entries = [int(h, 16) for h in doc["entries"]]
+    return TruthTable(n, np.asarray(entries, dtype=np.int64)), str(doc.get("family", ""))

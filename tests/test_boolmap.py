@@ -17,7 +17,6 @@ from chibox import (
     constant_table,
     cycle_structure,
     fixed_points,
-    from_anf,
     hadamard,
     identity_table,
     invert,
@@ -33,6 +32,8 @@ from chibox import (
     table_to_json,
     word_from_bits,
 )
+
+from chibox import boolmap
 
 import oracles
 
@@ -255,10 +256,8 @@ def test_anf_round_trip():
         f = random_table(rng, n)
         a = anf(f)
         assert isinstance(a, AnfTable)
-        assert from_anf(a) == f
-        # the transform is an involution on coefficient tables
-        again = anf(from_anf(AnfTable(n, f.entries.copy())))
-        assert np.array_equal(again.coeffs, f.entries)
+        # the transform is an involution: the ANF of the coefficient table is f
+        assert np.array_equal(anf(TruthTable(n, a.coeffs)).coeffs, f.entries)
 
 
 def test_component_degree():
@@ -358,6 +357,103 @@ def test_serialization_rejects_bad_documents():
         table_from_json('{"n":0,"family":"","entries":[]}')
     with pytest.raises(ValueError):
         table_from_json('{"n":2,"family":"","entries":["0","1","2","7"]}')
+
+
+FAMILIES = ("", 'quo"te', "back\\slash", "n\u00e4ive \u2713", '"entries":[')
+
+
+def read_both(text):
+    """table_from_json and the one-int-per-entry reference agree on text: same result or both reject it."""
+    try:
+        want = oracles.table_from_json(text)
+    except (KeyError, TypeError, ValueError):
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            table_from_json(text)
+        return None
+    got = table_from_json(text)
+    assert got[0] == want[0] and got[1] == want[1]
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_table_document_read_equals_the_reference_reader(n):
+    # every document dump_json writes is read from one byte array, not by json
+    rng = np.random.default_rng(100 + n)
+    for f in (random_permutation(rng, n), random_table(rng, n)):
+        for family in FAMILIES:
+            text = table_to_json(f, family)
+            assert boolmap._read_dumped(text) is not None
+            assert read_both(text) == (f, family)
+
+
+def variants(f, family):
+    """(accepted, rejected): other spellings of f's document that the reference reads or refuses."""
+    n = f.n
+    canonical = table_to_json(f, family)
+    entries = json.loads(canonical)["entries"]
+    compact = {"separators": (",", ":")}
+
+    def doc(words, head=None, **kw):
+        return json.dumps({**(head or {"n": n, "family": family}), "entries": words}, **kw)
+
+    def edit(i, word):
+        return doc(entries[:i] + [word] + entries[i + 1 :], **compact)
+
+    accepted = [
+        canonical.rstrip("\n"),
+        canonical + "\n",
+        canonical.encode(),
+        edit(1, "0x" + entries[1]),
+        edit(1, " " + entries[1]),
+        edit(1, "0_" + entries[1]),
+        edit(1, "\uff10" + entries[1]),  # a fullwidth digit zero
+        doc([h.upper() for h in entries], **compact),
+        doc([h.lstrip("0") or "0" for h in entries], **compact),
+        doc(["000" + h for h in entries], **compact),
+        doc(entries, indent=2),
+        doc(entries),
+        json.dumps({"entries": entries, "n": n, "family": family}, **compact),
+        canonical.replace('"entries":', '"entries":["1"],"entries":', 1),
+        canonical.replace('{"n":', '{"entries":["1"],"n":', 1),
+        canonical.replace('"entries":[', '"entries":%s,"family":"x","entries":[' % json.dumps(entries), 1),
+    ]
+    rejected = [
+        doc(entries, head={"n": True, "family": family}, **compact),
+        doc(entries, head={"n": float(n), "family": family}, **compact),
+        doc(entries, head={"n": 20.0, "family": family}, **compact),
+        doc(entries, head={"n": 0, "family": family}, **compact),
+        doc(entries, head={"n": 25, "family": family}, **compact),
+        doc(entries, head={"family": family}, **compact),
+        json.dumps({"n": n, "family": family}),
+        doc(entries[:-1], **compact),
+        doc(entries + entries[:1], **compact),
+        '{"n":%d,"entries":%s,"family":"x","entries":["1"]}' % (n, json.dumps(entries)),
+        edit(1, "f" * len(entries[1]) if n % 4 else "1" + entries[1]),  # a word outside F_2^n
+        edit(1, "zz"[: len(entries[1])]),
+        edit(1, ""),
+        edit(1, int(entries[1], 16)),
+        edit(1, None),
+        canonical[: len(canonical) // 2],
+        canonical[:-3] + "}\n",
+        canonical[:-2],
+        canonical + "x",
+        canonical.rstrip("\n") + "}",
+        canonical.replace("]}", "]]}"),
+        "[" + canonical + "]",
+    ]
+    return accepted, rejected
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 9, 13])
+def test_other_table_documents_read_as_the_reference_reads_them(n):
+    rng = np.random.default_rng(200 + n)
+    f = random_permutation(rng, n)
+    for family in FAMILIES:
+        accepted, rejected = variants(f, family)
+        for text in accepted:
+            assert read_both(text) is not None, text[:80]
+        for text in rejected:
+            assert read_both(text) is None, text[:80]
 
 
 def test_order_is_lcm():

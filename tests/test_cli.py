@@ -248,6 +248,38 @@ def test_construct_memory_peak(capsys, fmt, bound):
     assert peak < bound * 8 * (1 << n), peak / (8 * (1 << n))
 
 
+def test_table_read_memory_peak():
+    # a document as dump_json writes it is read from one byte array, never
+    # as one Python object per entry
+    n = 16
+    f = make_chi_nm(n, 3)
+    text = table_to_json(f, "chi_nm:%d:3" % n)
+    table_from_json(text)
+    tracemalloc.start()
+    try:
+        table, family = table_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == f and family == "chi_nm:%d:3" % n
+    assert peak <= 4 * 8 * (1 << n), peak / (8 * (1 << n))
+
+
+def test_analyze_reads_a_respelled_document_alike(tmp_path, capsys):
+    canonical = tmp_path / "canonical.tbl"
+    rc, _, _ = run_cli(capsys, "construct", "chi_nm:8:3", "-o", str(canonical))
+    assert rc == 0
+    doc = json.loads(canonical.read_text())
+    doc["entries"] = ["0x" + h for h in doc["entries"]]
+    respelled = tmp_path / "respelled.tbl"
+    respelled.write_text(json.dumps(doc, indent=2))
+    for fmt in ("text", "structured"):
+        argv = ("--metrics", "ddt,walsh,degree,cycles", "--format", fmt)
+        first = run_cli(capsys, "analyze", str(canonical), *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, "analyze", str(respelled), *argv) == first
+
+
 def test_fixed_points_counts(capsys):
     rc, out, _ = run_cli(
         capsys, "fixed-points", "--n", "8", "--m", "3", "--power", "1", "--format", "structured"

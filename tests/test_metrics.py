@@ -23,7 +23,6 @@ from chibox import (
     make_chi_nm,
     parse_family,
     render_spectrum,
-    report_to_json,
     shift,
     table_from_entries,
     walsh_spectrum,
@@ -31,6 +30,7 @@ from chibox import (
 )
 
 from chibox import cli, metrics
+from chibox.boolmap import dump_json
 
 import golden
 from oracles import walsh_table
@@ -385,7 +385,7 @@ def test_render_spectrum_format():
 
 def test_report_json_shape():
     rep = differential_spectrum(make_chi(5))
-    text = report_to_json(rep)
+    text = dump_json(metrics.report_doc(rep))
     assert text.endswith("\n")
     assert ": " not in text
     doc = json.loads(text)
