@@ -195,15 +195,18 @@ def iterate(f, k):
     """k-fold composition of f with itself by binary exponentiation; k >= 0."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    acc = identity_table(f.n)
-    base = f
+    return _power(compose, identity_table(f.n), f, k)
+
+
+def _power(mul, one, base, k):
+    """one times base^k under the associative mul, by square-and-multiply; k >= 0."""
     while k:
         if k & 1:
-            acc = compose(base, acc)
+            one = mul(base, one)
         k >>= 1
         if k:
-            base = compose(base, base)
-    return acc
+            base = mul(base, base)
+    return one
 
 
 @dataclass(frozen=True)
@@ -251,8 +254,8 @@ def cycle_structure(f):
 
 
 def fixed_points(f):
-    """All inputs u with f(u) = u, ascending by word value."""
-    return np.flatnonzero(f.entries == np.arange(1 << f.n, dtype=np.int64)).tolist()
+    """All inputs u with f(u) = u, as an ascending int64 array."""
+    return np.flatnonzero(f.entries == np.arange(1 << f.n, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import boolmap, cost, families, metrics, thetagroup
 from .boolmap import NotAPermutation, dump_json
 from .families import FamilyParseError
@@ -233,7 +235,7 @@ def cmd_fixed_points(args):
         j = k.bit_length() - 1
         pred = thetagroup.predicate_fixed_set(args.n, args.m, j)
         predicate_count = len(pred)
-        agree = pred == points
+        agree = np.array_equal(pred, points)
         if not agree:
             raise RuntimeError(
                 "window predicate disagrees with enumeration "

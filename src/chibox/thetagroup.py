@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .boolmap import constant_table, pointwise_add
+from .boolmap import _power, constant_table, fixed_points, pointwise_add
 from .families import make_theta
 
 
@@ -159,14 +157,7 @@ def group_pow(f, k):
     """f composed with itself k times, by binary exponentiation; f^0 is the identity."""
     if k < 0:
         raise ValueError("iterate power must be non-negative")
-    acc = identity_comb(f.n, f.m)
-    while k:
-        if k & 1:
-            acc = group_mul(acc, f)
-        k >>= 1
-        if k:
-            f = group_mul(f, f)
-    return acc
+    return _power(group_mul, identity_comb(f.n, f.m), f, k)
 
 
 def iterate_coeffs(n, m, k):
@@ -183,17 +174,14 @@ def iterate_coeffs(n, m, k):
 
 
 def predicate_fixed_set(n, m, j):
-    """Fix(chi_{n,m}^(2^j)) as a sorted list of words: the zero set of theta_{m,2^j}.
+    """Fix(chi_{n,m}^(2^j)) as an ascending int64 array: the zero set of theta_{m,2^j}.
 
     In F_2[z], (1+z)^(2^j) = 1 + z^(2^j), so chi^(2^j) = theta_0 + theta_{m,2^j}
     and x is fixed exactly when theta_{m,2^j}(x) = 0: no cyclic window
     (x_{i+1},...,x_{i+w}), w = 2^j * m, reads (0_{m-1}, *, ..., 0_{m-1}, 1).
-    Every word is fixed when the window cannot fit (w > n).
+    iterate_coeffs truncates at ell, so when the window cannot fit (w > n)
+    the power is the identity and every word is fixed.
     """
-    if n % m == 0:
-        raise ValueError("m must not divide n for the fixed-point predicate")
     if j < 0:
         raise ValueError("j must be non-negative")
-    if m << j > n:
-        return list(range(1 << n))
-    return np.flatnonzero(make_theta(n, m, 1 << j).entries == 0).tolist()
+    return fixed_points(comb_to_table(iterate_coeffs(n, m, 1 << j)))

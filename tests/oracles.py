@@ -14,8 +14,9 @@ spectrum_row reduces a table to the (headline, {value: count}) form of
 tests/golden.py over the same domains and headline maxima.  Every table
 costs O(2^(3n)) time and O(2^(2n)) memory, well under a second at n = 8.
 
-fixed_point_predicate tests one word against the cyclic window that
-chibox.thetagroup.predicate_fixed_set evaluates on all words at once,
+fixed_point_predicate tests one word against the cyclic window whose
+zero set chibox.thetagroup.predicate_fixed_set reads off the closed-form
+power theta_0 + theta_{m,2^j} materialized on all words at once,
 cycle_lengths walks the cycles of a permutation one word at a time, wht
 is the int32 butterfly that chibox.metrics._wht's matrix products replace,
 and hex_entries formats a table's entries one Python string at a time, the

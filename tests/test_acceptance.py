@@ -18,6 +18,8 @@ import itertools
 import time
 from decimal import Decimal
 
+import numpy as np
+
 from chibox import (
     ThetaComb,
     anf,
@@ -235,7 +237,8 @@ def test_09_fixed_point_characterization():
         chi = make_chi_nm(n, m)
         r = order_exponent(n, m)
         for j in range(0, r + 1):
-            assert predicate_fixed_set(n, m, j) == fixed_points(iterate(chi, 1 << j)), (n, m, j)
+            enum = fixed_points(iterate(chi, 1 << j))
+            assert np.array_equal(predicate_fixed_set(n, m, j), enum), (n, m, j)
     # part two: for every k in 1..ord(chi_{n,m}), enumeration finds
     #   Fix(chi^k) = Fix(chi^(2^v)) with 2^v the largest power of two
     #   dividing k (the 2-adic law), and a fixed word besides the two
@@ -258,7 +261,7 @@ def test_09_fixed_point_characterization():
         fixed = {k: fixed_points(iterate(chi, k)) for k in range(1, order + 1)}
         for k, pts in fixed.items():
             nontrivial = [x for x in pts if x not in trivial]
-            if pts != fixed[k & -k] or bool(nontrivial) != (k % 2 == 0 or m >= 3):
+            if not np.array_equal(pts, fixed[k & -k]) or bool(nontrivial) != (k % 2 == 0 or m >= 3):
                 violations.append((n, m, k, len(nontrivial)))
     # the claim this replaces: nontrivial fixed words exist exactly when the
     # coefficient form of chi^k is 1 + z^(2^j) with j >= 1.  That of chi_{8,3}

@@ -211,24 +211,30 @@ def test_predicate_matches_enumeration():
         for j in range(0, r + 1):
             pred = predicate_fixed_set(n, m, j)
             enum = fixed_points(iterate(chi_table, 1 << j))
-            assert pred == enum, (n, m, j)
+            for words in (pred, enum):
+                assert words.dtype == np.int64 and (np.diff(words) > 0).all(), (n, m, j)
+            assert np.array_equal(pred, enum), (n, m, j)
             # scalar and vector forms agree
             scal = [x for x in range(1 << n) if fixed_point_predicate(n, m, j, x)]
-            assert scal == pred, (n, m, j)
+            assert scal == pred.tolist(), (n, m, j)
 
 
 def test_fixed_points_chi83_frozen():
     pts = fixed_points(make_chi_nm(8, 3))
     assert tuple(pts) == golden.FIXED_CHI83
     assert len(pts) == 48
-    assert predicate_fixed_set(8, 3, 0) == pts
+    assert np.array_equal(predicate_fixed_set(8, 3, 0), pts)
     sq = fixed_points(iterate(make_chi_nm(8, 3), 2))
     assert len(sq) == 192
     assert 255 in sq
     assert set(pts) <= set(sq)
     # x with only coordinate x_5 set is moved by the square
     assert 32 not in sq
-    assert predicate_fixed_set(8, 3, 1) == sq
+    assert np.array_equal(predicate_fixed_set(8, 3, 1), sq)
+    # a window wider than the word (w = 3 * 2^j > 8) fixes every word
+    for j in (3, 10, 40):
+        every = predicate_fixed_set(8, 3, j)
+        assert every.dtype == np.int64 and np.array_equal(every, np.arange(256)), j
 
 
 def test_every_intermediate_power_has_nontrivial_fixed_points():
@@ -252,7 +258,7 @@ def test_fixed_sets_depend_only_on_two_adic_valuation():
             v = (k & -k).bit_length() - 1
             lhs = fixed_points(iterate(chi_table, k))
             rhs = fixed_points(iterate(chi_table, 1 << v))
-            assert lhs == rhs, (n, m, k)
+            assert np.array_equal(lhs, rhs), (n, m, k)
 
 
 def test_predicate_requires_coprime_m():
@@ -260,3 +266,10 @@ def test_predicate_requires_coprime_m():
         fixed_point_predicate(6, 3, 1, 0)
     with pytest.raises(ValueError):
         predicate_fixed_set(6, 3, 1)
+
+
+def test_predicate_keeps_the_table_size_cap():
+    # the wide window (j = 4 at n = 100) goes through the same n <= 24 check
+    for n, m, j in ((25, 7, 2), (100, 7, 4)):
+        with pytest.raises(ValueError, match="dimension n"):
+            predicate_fixed_set(n, m, j)
