@@ -1,9 +1,9 @@
 """Constructors for the chi family of shift-invariant maps.
 
-Every constructor returns a TruthTable built by evaluating the coordinate
-rule simultaneously for all 2^n inputs with vectorized bit arithmetic.
-Coordinate indices wrap mod n except in make_cchi, whose branch table is
-transcribed verbatim and never wraps.
+Every table is the XOR of product terms, each the outer AND of two tables
+over the high and low halves of the input word (_table).  Window offsets wrap
+mod n except on cchi's six boundary coordinates, whose published branch table
+is taken literally (no index wraps inside any branch).
 """
 
 from __future__ import annotations
@@ -25,32 +25,51 @@ def _words(n):
     return np.arange(1 << n, dtype=np.int64)
 
 
-def _windowed(n, ones, zeros, linear):
-    """Table of y_i = [x_i +] prod_{t in ones} x_{i+t} prod_{t in zeros} (x_{i+t} + 1).
+def _half(need, shift, width):
+    """Bit i of entry v: the product of coordinate i's literals x_j + c (j a bit of need[c][i])
+    with shift <= j < shift + width, each x_j read off bit j - shift of v."""
+    ones, zeros = (need >> shift) & ((1 << width) - 1)
+    v = np.arange(1 << width, dtype=np.int64)[:, None]
+    hit = ((v & (ones | zeros)) == ones) & ((ones & zeros) == 0)  # x_j (x_j + 1) = 0
+    return (hit << np.arange(need.shape[1])).sum(axis=1)
 
-    All coordinates at once, on rotated words; offsets wrap mod n.
+
+def _table(n, terms):
+    """Table of the XOR of terms; a term lists, per output coordinate i, literals (j, c) meaning x_j + c.
+
+    Coordinate i of a term is their product, so with s = n // 2 the term's
+    table is H[x >> s] & L[x mod 2^s], the products over the high and low bits.
     """
-    x = _words(n)
-    y = np.full_like(x, (1 << n) - 1)
-    rot, low = np.empty_like(x), np.empty_like(x)
-    for t, flip in {(t % n, 0) for t in ones} | {(t % n, -1) for t in zeros}:
-        # bit i of rot is x_{i+t}, complemented when flip is -1
-        np.right_shift(x, t, out=rot)
-        np.left_shift(x, n - t, out=low)
-        rot |= low
-        rot ^= flip
-        y &= rot
-    del rot, low  # free the scratch words before the table copies y
-    if linear:
-        y ^= x
-    return TruthTable(n, y)
+    _check_n(n)
+    s = n // 2
+    out = np.zeros((1 << (n - s), 1 << s), dtype=np.int64)
+    for term in terms:
+        need = np.array([[sum({1 << j for j, c in lits if c == b}) for lits in term] for b in (0, 1)])
+        out ^= np.bitwise_and.outer(_half(need, s, n - s), _half(need, 0, s))
+    return TruthTable(n, out.reshape(-1))
+
+
+def _window(n, ones, zeros):
+    """Term y_i = prod_{t in ones} x_{i+t} prod_{t in zeros} (x_{i+t} + 1), offsets mod n."""
+    _check_n(n)
+    lits = {(t % n, 0) for t in ones} | {(t % n, 1) for t in zeros}
+    return [[((i + t) % n, c) for t, c in lits] for i in range(n)]
+
+
+def _theta(n, m, k):
+    """Term theta_{m,k}: y_i = x_{i+mk} prod_{1<=j<=mk-1, m does not divide j} (x_{i+j} + 1)."""
+    if not (isinstance(m, int) and m >= 2 and isinstance(k, int) and k >= 0):
+        raise ValueError("theta needs m >= 2 and k >= 0, got m=%r k=%r" % (m, k))
+    if m > MAX_N or k > MAX_N:
+        raise ValueError("theta parameters are capped at %d, got m=%r k=%r" % (MAX_N, m, k))
+    return _window(n, [m * k], [j for j in range(1, m * k) if j % m])
 
 
 def make_chi(n):
     """chi_n: y_i = x_i + (x_{i+1} + 1) x_{i+2}."""
     if n < 3:
         raise ValueError("chi needs n >= 3, got %r" % (n,))
-    return _windowed(n, [2], [1], linear=True)
+    return _table(n, [_window(n, [0], []), _window(n, [2], [1])])
 
 
 def make_chi_nm(n, m):
@@ -61,7 +80,7 @@ def make_chi_nm(n, m):
     """
     if not (isinstance(m, int) and 2 <= m < n):
         raise ValueError("chi_nm needs n > m >= 2, got n=%r m=%r" % (n, m))
-    return _windowed(n, [m], range(1, m), linear=True)
+    return _table(n, [_window(n, [0], []), _window(n, [m], range(1, m))])
 
 
 def make_theta(n, m, k):
@@ -71,51 +90,35 @@ def make_theta(n, m, k):
     all indices reduced mod n, so the table is the zero map whenever the
     window cannot fit (mk > n and m does not divide n).
     """
-    if not (isinstance(m, int) and m >= 2 and isinstance(k, int) and k >= 0):
-        raise ValueError("theta needs m >= 2 and k >= 0, got m=%r k=%r" % (m, k))
-    if m > MAX_N or k > MAX_N:
-        raise ValueError("theta parameters are capped at %d, got m=%r k=%r" % (MAX_N, m, k))
-    return _windowed(n, [m * k], [j for j in range(1, m * k) if j % m], linear=False)
+    return _table(n, [_theta(n, m, k)])
 
 
 def make_chi_prime3(n):
     """chi'_{n,3}: y_i = x_i + x_{i+1} x_{i+2} (x_{i+3} + 1)."""
     if n < 4:
         raise ValueError("chi_prime3 needs n >= 4, got %r" % (n,))
-    return _windowed(n, [1, 2], [3], linear=True)
+    return _table(n, [_window(n, [0], []), _window(n, [1, 2], [3])])
 
 
 def make_cchi(n):
     """cchi_n for n = 2k, k even: the seven-branch variant of chi.
 
-    The generic coordinate is y_i = x_i + (x_{i+1} + 1) x_{i+2}; the six
-    coordinates around the block boundary follow the published branch table,
-    with indices taken literally (no wrap occurs inside any branch).
+    chi's terms, y_i = x_i + (x_{i+1} + 1) x_{i+2}, with the published branch
+    table on the six boundary coordinates, indices taken literally.
     """
     if n % 2:
         raise ValueError("cchi needs n = 2k with k even, got n=%r" % (n,))
     k = n // 2
     if k % 2 or k < 4:
         raise ValueError("cchi needs n = 2k with k even and k >= 4, got n=%r" % (n,))
-    x = _words(n)
-    y = np.array(make_chi(n).entries)  # chi's rule holds off the boundary, where no index wraps
-
-    def b(i):
-        return (x >> i) & 1
-
-    def nb(i):
-        return b(i) ^ 1
-
-    def put(i, yi):
-        y[:] = (y & ~(1 << i)) | (yi << i)
-
-    put(k - 3, b(k) ^ (nb(k - 2) & b(0)))
-    put(k - 2, b(k - 1) ^ (nb(0) & b(1)))
-    put(k - 1, nb(k - 3) ^ (nb(k) & nb(k + 1)))
-    put(k, b(k - 2) ^ (nb(k + 1) & b(k + 2)))
-    put(2 * k - 2, b(2 * k - 2) ^ (nb(2 * k - 1) & b(k - 1)))
-    put(2 * k - 1, b(2 * k - 1) ^ (nb(k - 1) & b(k)))
-    return TruthTable(n, y)
+    linear, quadratic = _window(n, [0], []), _window(n, [2], [1])
+    linear[k - 3], quadratic[k - 3] = [(k, 0)], [(k - 2, 1), (0, 0)]
+    linear[k - 2], quadratic[k - 2] = [(k - 1, 0)], [(0, 1), (1, 0)]
+    linear[k - 1], quadratic[k - 1] = [(k - 3, 1)], [(k, 1), (k + 1, 1)]
+    linear[k], quadratic[k] = [(k - 2, 0)], [(k + 1, 1), (k + 2, 0)]
+    linear[2 * k - 2], quadratic[2 * k - 2] = [(2 * k - 2, 0)], [(2 * k - 1, 1), (k - 1, 0)]
+    linear[2 * k - 1], quadratic[2 * k - 1] = [(2 * k - 1, 0)], [(k - 1, 1), (k, 0)]
+    return _table(n, [linear, quadratic])
 
 
 def make_concat(parts):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmap import _power, constant_table, fixed_points, pointwise_add
-from .families import make_theta
+from .boolmap import _power, fixed_points
+from .families import _table, _theta
 
 
 class NonUnitError(ValueError):
@@ -82,12 +82,8 @@ def order_exponent(n, m):
 
 
 def comb_to_table(c):
-    """Materialize the combination as the XOR-sum of its theta tables."""
-    acc = constant_table(c.n, 0)
-    for k, a in enumerate(c.coeffs):
-        if a:
-            acc = pointwise_add(acc, make_theta(c.n, c.m, k))
-    return acc
+    """Materialize the combination: one table of the theta terms with a_k = 1, theta_{m,0} the identity."""
+    return _table(c.n, (_theta(c.n, c.m, k) for k, a in enumerate(c.coeffs) if a))
 
 
 def comb_degree(c):

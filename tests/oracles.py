@@ -23,7 +23,10 @@ and hex_entries formats a table's entries one Python string at a time, the
 form chibox.boolmap.dump_json writes from one digit array.  table_from_json
 reads any table document through json.loads and int(h, 16) per entry, the
 reference for chibox.boolmap.table_from_json, which reads documents in
-dump_json's form from one byte array.
+dump_json's form from one byte array.  windowed, theta and cchi build the
+family tables on full words, one rotated copy of x per window offset and one
+bit extraction per branch literal: the references for the half-word product
+terms of chibox.families.
 """
 
 import json
@@ -183,3 +186,52 @@ def table_from_json(text):
     _check_n(n)
     entries = [int(h, 16) for h in doc["entries"]]
     return TruthTable(n, np.asarray(entries, dtype=np.int64)), str(doc.get("family", ""))
+
+
+def windowed(n, ones, zeros, linear):
+    """Table of y_i = [x_i +] prod_{t in ones} x_{i+t} prod_{t in zeros} (x_{i+t} + 1).
+
+    All coordinates at once, on rotated words; offsets wrap mod n.
+    """
+    _check_n(n)
+    x = np.arange(1 << n, dtype=np.int64)
+    y = np.full_like(x, (1 << n) - 1)
+    rot, low = np.empty_like(x), np.empty_like(x)
+    for t, flip in {(t % n, 0) for t in ones} | {(t % n, -1) for t in zeros}:
+        # bit i of rot is x_{i+t}, complemented when flip is -1
+        np.right_shift(x, t, out=rot)
+        np.left_shift(x, n - t, out=low)
+        rot |= low
+        rot ^= flip
+        y &= rot
+    if linear:
+        y ^= x
+    return TruthTable(n, y)
+
+
+def theta(n, m, k):
+    return windowed(n, [m * k], [j for j in range(1, m * k) if j % m], linear=False)
+
+
+def cchi(n):
+    """cchi_n (n = 2k, k even, k >= 4): chi off the block boundary, the branch table on it."""
+    k = n // 2
+    x = np.arange(1 << n, dtype=np.int64)
+    y = np.array(windowed(n, [2], [1], linear=True).entries)
+
+    def b(i):
+        return (x >> i) & 1
+
+    def nb(i):
+        return b(i) ^ 1
+
+    def put(i, yi):
+        y[:] = (y & ~(1 << i)) | (yi << i)
+
+    put(k - 3, b(k) ^ (nb(k - 2) & b(0)))
+    put(k - 2, b(k - 1) ^ (nb(0) & b(1)))
+    put(k - 1, nb(k - 3) ^ (nb(k) & nb(k + 1)))
+    put(k, b(k - 2) ^ (nb(k + 1) & b(k + 2)))
+    put(2 * k - 2, b(2 * k - 2) ^ (nb(2 * k - 1) & b(k - 1)))
+    put(2 * k - 1, b(2 * k - 1) ^ (nb(k - 1) & b(k)))
+    return TruthTable(n, y)

@@ -1,9 +1,16 @@
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from chibox import (
     FamilyParseError,
     FamilySpec,
+    ThetaComb,
     build,
+    comb_from_bitstring,
+    comb_to_table,
     compose,
     constant_table,
     identity_table,
@@ -21,6 +28,7 @@ from chibox import (
 )
 
 import golden
+import oracles
 
 
 def test_chi_small_tables():
@@ -113,6 +121,52 @@ def test_cchi_basics():
     ok, _ = is_permutation(g)
     assert ok
     assert table_degree(g) == 2
+
+
+def test_tables_match_the_full_word_references():
+    # every window on the half-word product terms equals the rotated-word table
+    for n in range(1, 13):
+        if n >= 3:
+            assert make_chi(n) == oracles.windowed(n, [2], [1], linear=True)
+        if n >= 4:
+            assert make_chi_prime3(n) == oracles.windowed(n, [1, 2], [3], linear=True)
+        for m in range(2, n + 3):
+            if m < n:
+                assert make_chi_nm(n, m) == oracles.windowed(n, [m], range(1, m), linear=True)
+            ell = n // m
+            for k in range(2 * ell + 3):  # past the wrap, m | n and m > n included
+                assert make_theta(n, m, k) == oracles.theta(n, m, k), (n, m, k)
+            if ell > 5:
+                continue
+            refs = [oracles.theta(n, m, k).entries for k in range(ell + 1)]
+            for coeffs in itertools.product((0, 1), repeat=ell + 1):
+                want = np.zeros(1 << n, dtype=np.int64)
+                for ref, a in zip(refs, coeffs):
+                    want ^= ref * a
+                assert np.array_equal(comb_to_table(ThetaComb(n, m, coeffs)).entries, want), (n, m, coeffs)
+    for n in (8, 12, 16):
+        assert make_cchi(n) == oracles.cchi(n)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_chi_nm(16, 3),
+        lambda: make_cchi(16),
+        lambda: comb_to_table(comb_from_bitstring(16, 3, "111111")),
+    ],
+    ids=["chi_nm:16:3", "cchi:16", "comb:16:3:111111"],
+)
+def test_build_peak_memory(make):
+    # the output plus either one term's outer AND or the table's own copy; no full-word scratch
+    make()
+    tracemalloc.start()
+    try:
+        make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * (1 << 16), peak
 
 
 def test_cchi_rejects_bad_sizes():
