@@ -222,28 +222,33 @@ class CycleReport:
     fixed_point_count: int
 
 
-def cycle_structure(f):
-    """Cycle lengths, order and fixed-point count of a permutation.
+def _cycle_labels(p):
+    """The least word of each word's cycle under the permutation p, an array of 2^n words, as int32.
 
-    Pointer doubling labels each word with the least word of its cycle: after
-    round k, label[u] is the least of u, f(u), ..., f^(2^k - 1)(u) and p is
-    f^(2^k), so n rounds cover every cycle.  The doubling stops early once
-    a round leaves the labels unchanged: then labels never fall along steps
-    of p, which return to their start, so the windows of 2^k words that
-    tile a cycle all hold its least word.  The tally of the labels gives each
-    cycle's length, and the tally of the lengths their multiplicities.
-    Raises NotAPermutation when f is not a permutation.
+    Pointer doubling: after round k, label[u] is the least of u, p(u), ...,
+    p^(2^k - 1)(u) and q is p^(2^k), so n rounds cover every cycle.  The
+    doubling stops early once a round leaves the labels unchanged: then
+    labels never fall along steps of q, which return to their start, so the
+    windows of 2^k words that tile a cycle all hold its least word.
     """
-    _require_permutation(f)
-    p = f.entries.astype(np.int32)
-    label = np.arange(1 << f.n, dtype=np.int32)
-    for _ in range(f.n):
-        merged = np.minimum(label, label[p])
+    q = p.astype(np.int32)
+    label = np.arange(p.size, dtype=np.int32)
+    for _ in range(p.size.bit_length() - 1):
+        merged = np.minimum(label, label[q])
         if np.array_equal(merged, label):
             break
         label = merged
-        p = p[p]
-    sizes = np.bincount(label)
+        q = q[q]
+    return label
+
+
+def cycle_structure(f):
+    """Cycle lengths, order and fixed-point count of a permutation; raises NotAPermutation otherwise.
+
+    The tally of the _cycle_labels gives each cycle's length, and the tally of the lengths their multiplicities.
+    """
+    _require_permutation(f)
+    sizes = np.bincount(_cycle_labels(f.entries))
     counts = np.bincount(sizes[sizes > 0])
     lengths = np.flatnonzero(counts).tolist()
     return CycleReport(

@@ -20,11 +20,6 @@ class FamilyParseError(ValueError):
     """Raised when a family spec string does not match the grammar."""
 
 
-def _words(n):
-    _check_n(n)
-    return np.arange(1 << n, dtype=np.int64)
-
-
 def _half(need, shift, width):
     """Bit i of entry v: the product of coordinate i's literals x_j + c (j a bit of need[c][i])
     with shift <= j < shift + width, each x_j read off bit j - shift of v."""
@@ -129,7 +124,7 @@ def make_concat(parts):
     total = sum(p.n for p in parts)
     if total > MAX_N:
         raise ValueError("concat dimension %d exceeds the cap %d" % (total, MAX_N))
-    x = _words(total)
+    x = np.arange(1 << total, dtype=np.int64)
     y = np.zeros_like(x)
     offset = 0
     for p in parts:
@@ -228,4 +223,5 @@ def build(fs):
     """Materialize a FamilySpec into its TruthTable."""
     if fs.family == "concat":
         return make_concat([build(p) for p in fs.parts])
-    return FAMILIES[fs.family][0](*_fields(fs))
+    fields = _fields(fs)  # before the lookup, so an unknown family is a ValueError
+    return FAMILIES[fs.family][0](*fields)

@@ -51,8 +51,8 @@ differential classes S_{g,b} = {x : D_gF(x) = b}, of sizes delta(g,b).
 S_{g,b} = T + {0, g} with T its half {x : x < x+g}; each unordered pair
 {t, t'} of T stands for four pairs at a = t+t' and four at t+t'+g, and
 the pairs (t, t+g) add delta(g,b) at a = g.  A column takes about
-sum_g delta(g,b)^2 / 8 pair visits, enumerated in chunks of at most 2^16
-pairs, so no temporary outgrows a 2^16-entry chunk or a 2^n row.
+sum_g delta(g,b)^2 / 8 pair visits, enumerated in chunks of at most _BLOCK
+pairs, so no temporary outgrows a _BLOCK-entry chunk or a 2^n row.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmap import NotAPermutation, invert, is_permutation, shift
+from .boolmap import NotAPermutation, _cycle_labels, invert, shift
 
 DOM_A_NONZERO = "a nonzero, all b"
 DOM_ALL_PAIRS = "all (a,b)"
@@ -169,20 +169,15 @@ def _orbits(f):
     words ascends, so words[0] = 0 with size 1; with no symmetry (t = n)
     every word is its own orbit.
     """
-    t, rot = _period(f)
-    least = image = np.arange(1 << f.n, dtype=np.int64)
-    for _ in range(f.n // t - 1):
-        image = rot[image]
-        least = np.minimum(least, image)
-    sizes = np.bincount(least)
+    sizes = np.bincount(_cycle_labels(_period(f)[1]))
     words = np.flatnonzero(sizes)
     return words, sizes[words]
 
 
-# A block of rows holds at most this many cells, one row when a row is longer,
-# so an int64 temporary of a block takes at most 128 KiB and its float32 and
-# int32 transforms half that each: a smaller cap brings back the per-call
-# overhead, a larger one raises the peak memory.
+# A block of rows holds at most this many cells (one row when a row is longer)
+# and a boomerang column counts its pairs in chunks of at most this many, so an
+# int64 temporary of a block or a chunk takes at most 128 KiB: a smaller cap
+# brings back the per-call overhead, a larger one raises the peak memory.
 _BLOCK = 1 << 14
 
 
@@ -245,13 +240,6 @@ def walsh_spectrum(f):
     return _spectrum("walsh", n, blocks, DOM_ALL_PAIRS, nonlinearity, [(0, 1 << (2 * n)), (2, 1 << (3 * n))])
 
 
-# A boomerang column enumerates its pairs {t, t'} in chunks of at most this
-# many, so each int64 temporary of a chunk takes at most 512 KiB: a smaller
-# cap brings back the per-call overhead, a larger one made chi_nm:11:10 and
-# chi_nm:12:5 about 1.5 times slower (2^18 pairs, 2 cores).
-_PAIRS = 1 << 16
-
-
 def _boomerang_column(ent, inv, b):
     """beta(a, b) for a = 1..2^n-1, from the pairs inside the differential classes of column b.
 
@@ -274,8 +262,8 @@ def _boomerang_column(ent, inv, b):
     pairs = np.zeros(size, dtype=np.int64)
     # T holds 2^(n-1) words, so end is never empty
     total = int(end[-1])
-    for lo in range(0, total, _PAIRS):
-        hi = min(lo + _PAIRS, total)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
         # the words i0..i1-1 own the pairs lo..hi-1, cnt[i] of them each
         i0 = np.searchsorted(end, lo, side="right")
         i1 = np.searchsorted(end, hi - 1, side="right") + 1
@@ -296,13 +284,13 @@ def boomerang_spectrum(f):
 
     Built from beta(a,b) = #{(x,g) : D_gF(x) = b = D_gF(x+a)}: one column per
     rotation orbit, weighted by the orbit size, each counting the pairs
-    inside its differential classes in chunks of at most 2^16 pairs.
+    inside its differential classes in chunks of at most _BLOCK pairs.
     Raises NotAPermutation if F is not a permutation.
     """
-    ok, _ = is_permutation(f)
-    if not ok:
-        raise NotAPermutation("boomerang spectrum needs a permutation")
-    inv = invert(f).entries
+    try:
+        inv = invert(f).entries
+    except NotAPermutation:
+        raise NotAPermutation("boomerang spectrum needs a permutation") from None
     columns = ((w, _boomerang_column(f.entries, inv, b)) for w, rows in _blocks(f, True) for b in rows.tolist())
     return _spectrum("boomerang", f.n, columns, DOM_AB_NONZERO, _largest, [(0, ((1 << f.n) - 1) ** 2)])
 

@@ -71,6 +71,29 @@ def test_truth_table_validation():
         f.entries[0] = 7
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: word_from_bits((1, 2)), "bits must be 0 or 1"),
+        (lambda: AnfTable(3, np.zeros(4, dtype=np.int64)), "coeffs must have exactly 2"),
+        (lambda: component_degree(anf(identity_table(3)), 8), "mask out of range"),
+        (lambda: component_degree(anf(identity_table(3)), -1), "mask out of range"),
+    ],
+)
+def test_rejects_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_tables_equal_only_tables_of_their_own_kind():
+    f = make_chi(5)
+    a = anf(f)
+    assert a == AnfTable(5, a.coeffs.copy())
+    assert a != anf(identity_table(5)) and a != anf(make_chi(6))
+    assert a.__eq__(f) is NotImplemented and a != f
+    assert f.__eq__(f.entries) is NotImplemented and f != "chi:5"
+
+
 def test_identity_and_constant():
     f = identity_table(3)
     assert list(f.entries) == list(range(8))

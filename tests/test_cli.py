@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chibox
 from chibox import iterate, make_chi_nm, table_from_entries, table_from_json, table_to_json
@@ -460,3 +463,152 @@ def test_console_script_entry_point():
         assert proc.returncode == 0, (cmd, proc.stderr)
         doc = json.loads(proc.stdout)
         assert doc["entries"] == ["0", "3", "6", "1", "5", "4", "2", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "--n", "abc", "--m", "3", "--coeffs", "11", "order"),
+        ("analyze", "chi:5"),
+        ("construct", "chi:5", "--format", "json"),
+        ("construct", "chi:5", "--frob"),
+        ("frobnicate",),
+        (),
+    ],
+)
+def test_argparse_usage_errors_are_one_line(capsys, argv):
+    # a malformed argv is reported like every other usage error: exit 2 and
+    # one error: line, no usage block and no SystemExit
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_help_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chibox")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("group", "--n", "0", "--m", "3", "--coeffs", "1", "order"), "error: n must be positive, got 0\n"),
+        (("fixed-points", "--n", "0", "--m", "3", "--power", "1"), "error: n must be positive, got 0\n"),
+        (("fixed-points", "--n", "-2", "--m", "0", "--power", "1"), "error: n must be positive, got -2\n"),
+        (("fixed-points", "--n", "8", "--m", "3", "--power", "-1"), "error: power must be non-negative\n"),
+    ],
+)
+def test_domain_errors_name_the_bad_argument(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (3, "", err)
+
+
+def _mostly(valid, junk):
+    # one draw in four from junk; hypothesis favours the least integer, so it
+    # selects valid
+    return st.integers(0, 3).flatmap(lambda i: junk if i == 3 else valid)
+
+
+# integer fields of the fuzzed grammar: mostly 2..10 for n and 2..5 for m, k
+# and the power, so every table has n <= 10, else -3..1 or a spelling that
+# int() refuses or reads as a large number
+FUZZ_JUNK_INT = st.sampled_from(["", "x", "1e3", "\u0665", "7_0", "12345678901234567890"])
+FUZZ_EDGE = st.one_of(st.integers(-3, 1).map(str), FUZZ_JUNK_INT)
+FUZZ_INT = _mostly(st.sampled_from(["5", "8", "3", "7", "4", "6", "9", "10", "2"]), FUZZ_EDGE)
+FUZZ_SMALL = _mostly(st.sampled_from(["3", "2", "4", "5"]), FUZZ_EDGE)
+
+
+def _family_specs(n):
+    return _mostly(
+        st.one_of(
+            st.builds("chi:{}".format, n),
+            st.builds("chi_nm:{}:{}".format, n, FUZZ_SMALL),
+            st.builds("theta:{}:{}:{}".format, n, FUZZ_SMALL, FUZZ_SMALL),
+            st.builds("chi_prime3:{}".format, n),
+            st.builds("cchi:{}".format, n),
+        ),
+        st.sampled_from(["", "bogus:5", "chi", "chi:5:2", "concat()", "concat(chi:3", "concat((chi:3)", "concat(chi:3))"]),
+    )
+
+
+# a concat of at most two parts of n <= 5 each stays within n <= 10
+FUZZ_SPEC = st.one_of(
+    _family_specs(FUZZ_INT),
+    st.lists(_family_specs(_mostly(st.sampled_from(["3", "5", "4", "2"]), FUZZ_EDGE)), min_size=1, max_size=2).map(
+        lambda parts: "concat(%s)" % ",".join(parts)
+    ),
+)
+FUZZ_METRICS = _mostly(
+    st.lists(st.sampled_from(chibox.cli.METRIC_ORDER), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from(["ddt", "frob", "", "DDT"]), max_size=3),
+).map(",".join)
+FUZZ_QUERY = _mostly(
+    st.sampled_from(["inverse", "order", "involution", "materialize", "iterate:1", "iterate:2", "iterate:5"]),
+    st.one_of(st.sampled_from(["frob", "iterate"]), FUZZ_INT.map("iterate:{}".format)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(root / name) for name in ("table.tbl", "bad.tbl", "gates.csv", "bad.csv", "out")}
+    Path(files["table.tbl"]).write_text(table_to_json(make_chi_nm(8, 3), "chi_nm:8:3"))
+    Path(files["bad.tbl"]).write_text("{not json")
+    Path(files["gates.csv"]).write_text("gate,technology,ge\nXOR,demo,2.00\nAND,demo,1.00\nNOT,demo,0.50\n")
+    Path(files["bad.csv"]).write_text("gate,technology\nXOR,demo\n")
+    files["missing"] = str(root / "missing" / "x")
+    return files
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(["construct", "analyze", "group", "fixed-points", "cost"]))
+    if command == "construct":
+        argv = [command, draw(FUZZ_SPEC)]
+    elif command == "analyze":
+        target = draw(_mostly(FUZZ_SPEC, st.sampled_from([files["table.tbl"], files["bad.tbl"], files["missing"]])))
+        argv = [command, target, "--metrics", draw(FUZZ_METRICS)]
+    elif command == "group":
+        n, m = draw(FUZZ_INT), draw(FUZZ_SMALL)
+        # mostly ell + 1 coefficients, the length a valid n and m ask for
+        try:
+            ell = max(0, min(int(n) // int(m), 5))
+        except (ValueError, ZeroDivisionError):
+            ell = 0
+        coeffs = _mostly(st.text(alphabet="01", min_size=ell + 1, max_size=ell + 1), st.text(alphabet="01x", max_size=5))
+        argv = [command, "--n", n, "--m", m, "--coeffs", draw(coeffs), draw(FUZZ_QUERY)]
+    elif command == "fixed-points":
+        argv = [command, "--n", draw(FUZZ_INT), "--m", draw(FUZZ_SMALL), "--power", draw(FUZZ_SMALL)]
+    else:
+        template = draw(_mostly(st.sampled_from(["chi", "chi_prime3", "cchi"]), st.just("frob")))
+        argv = [command, template, "--n", draw(FUZZ_INT), "--lib", draw(st.sampled_from(["umc180", "demo", "nope"]))]
+        gates = draw(st.sampled_from([None, files["gates.csv"], files["bad.csv"], files["missing"]]))
+        argv += ["--gates", gates] if gates else []
+    if draw(st.booleans()):
+        argv += ["--format", draw(_mostly(st.sampled_from(["text", "structured"]), st.sampled_from(["json", ""])))]
+    if draw(st.booleans()):
+        argv += ["-o", draw(_mostly(st.just(files["out"]), st.just(files["missing"])))]
+    # one argv in eight gets an unknown flag, none of them a prefix of a real
+    # one (argparse would take it), and one in eight loses an argument
+    if draw(st.integers(0, 7)) == 7:
+        argv.append(draw(st.sampled_from(["--frob", "-x", "--zzz"])))
+    if draw(st.integers(0, 7)) == 7:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_an_exit_code_and_one_error_line(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    if rc == 0:
+        assert err == "", (argv, err)
+    else:
+        assert out == "", (argv, out)
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -129,6 +129,25 @@ def test_template_validation():
         CircuitTemplate("bad", (("NOT", 1),), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: load_gate_libraries("gate,technology,ge\nNOT,umc180\n"), "malformed gate row"),
+        (lambda: CircuitTemplate("bad", (("NOT", 1),), 4, 0), "latency_stages must be at least 1"),
+        (lambda: chi_template(2), "chi needs n >= 3"),
+        (lambda: chi_prime3_template(3), "chi_prime3 needs n >= 4"),
+    ],
+)
+def test_rejects_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_blank_gate_rows_are_skipped():
+    libs = load_gate_libraries("gate,technology,ge\n\nNOT,demo,0.5\n\n")
+    assert libs["demo"].ge == {"NOT": Decimal("0.5")}
+
+
 def test_gate_inventories():
     t = chi_template(5)
     assert dict(t.per_bit_gates) == {"XOR": 1, "AND": 1, "NOT": 1}

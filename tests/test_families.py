@@ -253,6 +253,22 @@ def test_build_rejects_out_of_range_parameters():
         build(parse_family("concat(chi:13,chi:12)"))
 
 
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        (lambda: make_theta(8, 1, 1), ValueError, "theta needs m >= 2 and k >= 0"),
+        (lambda: make_theta(8, 3, -1), ValueError, "theta needs m >= 2 and k >= 0"),
+        (lambda: make_chi_prime3(3), ValueError, "chi_prime3 needs n >= 4"),
+        (lambda: parse_family("concat(chi:3))"), FamilyParseError, "unbalanced parentheses"),
+        (lambda: parse_family("concat((chi:3)"), FamilyParseError, "unbalanced parentheses"),
+        (lambda: build(FamilySpec("frob")), ValueError, "unknown family 'frob'"),
+    ],
+)
+def test_rejects_invalid_input(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
 def test_family_spec_is_plain_data():
     fs = FamilySpec(family="chi", n=5)
     assert spec_string(fs) == "chi:5"

@@ -324,7 +324,7 @@ def test_boomerang_table_of_random_permutations(n):
 
 def test_boomerang_table_in_pair_chunks(monkeypatch):
     # every column enumerates the pairs {t, t'} of its classes in chunks of
-    # at most _PAIRS; at a small cap the chunks cut through the classes, the
+    # at most _BLOCK; at a small cap the chunks cut through the classes, the
     # large ones of chi_nm:7:6 and chi_nm:8:5 among them
     small = 97
     most = 0
@@ -333,7 +333,7 @@ def test_boomerang_table_in_pair_chunks(monkeypatch):
         want = oracles.boomerang_table(f.entries)[1:, 1:]
         assert np.array_equal(_bct(f)[1:, 1:], want), spec
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_PAIRS", small)
+            patch.setattr(metrics, "_BLOCK", small)
             assert np.array_equal(_bct(f)[1:, 1:], want), spec
         # column b has sum_g C(DDT(g,b)/2, 2) pairs
         half = oracles.differential_table(f.entries)[1:, 1:] // 2
@@ -343,11 +343,11 @@ def test_boomerang_table_in_pair_chunks(monkeypatch):
 
 def test_boomerang_memory_capped_by_the_pair_chunks(monkeypatch):
     # chi_{9,8} is close to the identity, so its classes are large: no
-    # temporary outgrows the chunks of _PAIRS pairs and a 2^n row (about
+    # temporary outgrows the chunks of _BLOCK pairs and a 2^n row (about
     # 0.09 MB), while one chunk per column peaks at 0.52 MB and a
     # [2^n, 2^n] buffer at 0.9 MB
     f = make_chi_nm(9, 8)
-    monkeypatch.setattr(metrics, "_PAIRS", 1 << 10)
+    monkeypatch.setattr(metrics, "_BLOCK", 1 << 10)
     tracemalloc.start()
     try:
         boomerang_spectrum(f)

@@ -65,6 +65,18 @@ def test_comb_construction_and_validation():
     assert not ThetaComb(8, 3, (0, 1, 0)).is_unit()
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ThetaComb(0, 3, (1,)), "n must be positive, got 0"),
+        (lambda: predicate_fixed_set(8, 3, -1), "j must be non-negative"),
+    ],
+)
+def test_rejects_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_identity_and_chi_combs():
     ident = identity_comb(8, 3)
     assert ident.coeffs == (1, 0, 0)
