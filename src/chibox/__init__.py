@@ -2,7 +2,7 @@
 
 The package is organized as:
 
-  boolmap     truth tables and the mapping algebra (+, compose, Hadamard),
+  boolmap     truth tables and the mapping algebra (+, compose),
               permutation machinery, ANF and degrees
   families    constructors for chi, chi_{n,m}, theta_{m,k}, chi'_{n,3},
               cchi and block concatenation
@@ -14,7 +14,6 @@ The package is organized as:
 
 from .boolmap import (
     MAX_N,
-    AnfTable,
     CycleReport,
     NotAPermutation,
     TruthTable,
@@ -22,10 +21,8 @@ from .boolmap import (
     bits_of,
     component_degree,
     compose,
-    constant_table,
     cycle_structure,
     fixed_points,
-    hadamard,
     identity_table,
     invert,
     is_permutation,
@@ -33,10 +30,8 @@ from .boolmap import (
     pointwise_add,
     shift,
     table_degree,
-    table_from_entries,
     table_from_json,
     table_to_json,
-    word_from_bits,
 )
 from .cost import (
     GATE_KINDS,
@@ -48,7 +43,6 @@ from .cost import (
     cchi_template,
     chi_prime3_template,
     chi_template,
-    dump_gate_libraries,
     latency_stages,
     load_gate_libraries,
     load_gate_library,
@@ -79,7 +73,6 @@ from .metrics import (
     dlct_spectrum,
     render_spectrum,
     walsh_spectrum,
-    walsh_values,
 )
 from .thetagroup import (
     NonUnitError,

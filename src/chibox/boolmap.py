@@ -2,10 +2,10 @@
 
 A function is stored as an array of 2^n output words indexed by the input
 word.  Bit i of a word holds coordinate x_i, so x_0 is the least significant
-bit, and every coordinate index in a formula is reduced mod n.  The three
-operations of the mapping algebra (pointwise addition, composition, Hadamard
-product), permutation machinery (inverse, iterates, cycle structure), and the
-algebraic normal form all live here.
+bit, and every coordinate index in a formula is reduced mod n.  The mapping
+algebra (pointwise addition and composition), permutation machinery
+(inverse, iterates, cycle structure), and the algebraic normal form all live
+here.
 """
 
 from __future__ import annotations
@@ -61,16 +61,6 @@ def hex_digits(words, n):
     return digits
 
 
-def word_from_bits(bits):
-    """Pack a coordinate sequence (x_0, x_1, ...) into a word, x_0 lowest."""
-    w = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        w |= b << i
-    return w
-
-
 def bits_of(word, n):
     """Unpack a word into the coordinate tuple (x_0, ..., x_{n-1})."""
     return tuple((word >> i) & 1 for i in range(n))
@@ -80,7 +70,7 @@ def bits_of(word, n):
 class TruthTable:
     """Immutable table of a map F_2^n -> F_2^n.
 
-    entries[u] is the output word F(u); the array is read-only int64.
+    entries[u] is the output word F(u), a word of F_2^n; the array is a read-only int64 copy.
     """
 
     n: int
@@ -88,11 +78,14 @@ class TruthTable:
 
     def __post_init__(self):
         _check_n(self.n)
-        ent = np.array(self.entries, dtype=np.int64, copy=True)
+        ent = np.asarray(self.entries)
+        if ent.dtype.kind not in "iu":
+            raise ValueError("entries must be integers that fit int64")
         if ent.shape != (1 << self.n,):
             raise ValueError("entries must have exactly 2^n elements")
-        if ent.size and (int(ent.min()) < 0 or int(ent.max()) >> self.n):
+        if int(ent.min()) < 0 or int(ent.max()) >> self.n:
             raise ValueError("entries contain a word outside F_2^n")
+        ent = ent.astype(np.int64)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -111,15 +104,6 @@ class TruthTable:
 def identity_table(n):
     _check_n(n)
     return TruthTable(n, np.arange(1 << n, dtype=np.int64))
-
-
-def constant_table(n, word):
-    _check_n(n)
-    return TruthTable(n, np.full(1 << n, word, dtype=np.int64))
-
-
-def table_from_entries(n, entries):
-    return TruthTable(n, np.asarray(entries, dtype=np.int64))
 
 
 def shift(n, t):
@@ -146,12 +130,6 @@ def pointwise_add(f, g):
     """Entry-wise XOR of the two output words, the + of the mapping algebra."""
     _same_n(f, g)
     return TruthTable(f.n, f.entries ^ g.entries)
-
-
-def hadamard(f, g):
-    """Entry-wise AND of the two output words, the Hadamard product."""
-    _same_n(f, g)
-    return TruthTable(f.n, f.entries & g.entries)
 
 
 def compose(f, g):
@@ -195,18 +173,19 @@ def iterate(f, k):
     """k-fold composition of f with itself by binary exponentiation; k >= 0."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _power(compose, identity_table(f.n), f, k)
+    return identity_table(f.n) if k == 0 else _power(compose, f, k)
 
 
-def _power(mul, one, base, k):
-    """one times base^k under the associative mul, by square-and-multiply; k >= 0."""
-    while k:
+def _power(mul, base, k):
+    """base^k under the associative mul, by square-and-multiply; k >= 1."""
+    acc = None
+    while True:
         if k & 1:
-            one = mul(base, one)
+            acc = base if acc is None else mul(base, acc)
         k >>= 1
-        if k:
-            base = mul(base, base)
-    return one
+        if not k:
+            return acc
+        base = mul(base, base)
 
 
 @dataclass(frozen=True)
@@ -263,31 +242,6 @@ def fixed_points(f):
     return np.flatnonzero(f.entries == np.arange(1 << f.n, dtype=np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class AnfTable:
-    """Algebraic normal form of a table.
-
-    Bit i of coeffs[u] is the coefficient of the monomial prod_{j in u} x_j
-    in output coordinate i, where u is read as a subset of variable indices.
-    """
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        _check_n(self.n)
-        c = np.array(self.coeffs, dtype=np.int64, copy=True)
-        if c.shape != (1 << self.n,):
-            raise ValueError("coeffs must have exactly 2^n elements")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __eq__(self, other):
-        if not isinstance(other, AnfTable):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.coeffs, other.coeffs)
-
-
 def _moebius(words, n):
     # in-place butterfly, one pass per variable, all coordinates in parallel
     a = words.copy()
@@ -299,19 +253,23 @@ def _moebius(words, n):
 
 
 def anf(f):
-    """ANF coefficients of every coordinate at once via the Moebius transform."""
-    return AnfTable(f.n, _moebius(f.entries, f.n))
+    """ANF coefficients of every coordinate at once via the Moebius transform, an int64 array.
+
+    Bit i of entry u is the coefficient of the monomial prod_{j in u} x_j in
+    output coordinate i, where u is read as a subset of variable indices.
+    """
+    return _moebius(f.entries, f.n)
 
 
 def component_degree(a, mask):
-    """Algebraic degree of the component function mask . F.
+    """Algebraic degree of the component function mask . F, given the ANF coefficients a = anf(F).
 
     mask selects output coordinates whose XOR forms the component; returns
     None for the identically-zero function (degree undefined).
     """
-    if not 0 <= mask < (1 << a.n):
+    if not 0 <= mask < a.size:
         raise ValueError("mask out of range")
-    sel = np.bitwise_count(a.coeffs & np.int64(mask)) & 1
+    sel = np.bitwise_count(a & np.int64(mask)) & 1
     live = np.nonzero(sel)[0]
     if live.size == 0:
         return None
@@ -389,4 +347,4 @@ def table_from_json(text):
         words = [int(h, 16) for h in doc["entries"]]
     else:
         doc, words = parsed
-    return TruthTable(doc["n"], np.asarray(words, dtype=np.int64)), str(doc.get("family", ""))
+    return TruthTable(doc["n"], words), str(doc.get("family", ""))

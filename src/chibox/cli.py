@@ -16,6 +16,7 @@ errors included, is one stderr line starting with "error:".
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import os
 import sys
@@ -74,7 +75,7 @@ def _load_file(path, parse, what):
         raise FileFormatError("cannot read %s: %s" % (path, exc)) from exc
     try:
         return parse(text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, csv.Error) as exc:
         raise FileFormatError("bad %s %s: %s" % (what, path, exc)) from exc
 
 

@@ -49,8 +49,8 @@ class GateLibrary:
 def load_gate_libraries(text):
     """Parse `gate,technology,ge` rows into libraries keyed by technology.
 
-    The ge field NA marks an unavailable cell; values must be positive
-    decimals; gate kinds outside the known set are rejected.
+    The ge field NA marks an unavailable cell; values must be finite
+    positive decimals; gate kinds outside the known set are rejected.
     """
     libs = {}
     rows = list(csv.reader(io.StringIO(text)))
@@ -73,7 +73,7 @@ def load_gate_libraries(text):
             value = Decimal(ge)
         except InvalidOperation:
             raise ValueError("bad GE value %r for %s/%s" % (ge, gate, tech)) from None
-        if value <= 0:
+        if not value.is_finite() or value <= 0:
             raise ValueError("GE value must be positive, got %s for %s/%s" % (ge, gate, tech))
         table[gate] = value
     return {tech: GateLibrary(tech, table) for tech, table in libs.items()}
@@ -84,17 +84,6 @@ def load_gate_library(text, technology):
     if technology not in libs:
         raise ValueError("unknown library %r" % (technology,))
     return libs[technology]
-
-
-def dump_gate_libraries(libs):
-    """Canonical CSV of a library set: gate-major order, NA for missing cells."""
-    techs = [t for t in TECHNOLOGIES if t in libs] + sorted(set(libs) - set(TECHNOLOGIES))
-    lines = ["gate,technology,ge"]
-    for gate in GATE_KINDS:
-        for tech in techs:
-            value = libs[tech].ge.get(gate)
-            lines.append("%s,%s,%s" % (gate, tech, "NA" if value is None else value))
-    return "\n".join(lines) + "\n"
 
 
 def shipped_gate_csv():

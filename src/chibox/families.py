@@ -116,14 +116,18 @@ def make_cchi(n):
     return _table(n, [linear, quadratic])
 
 
+def _check_concat(total):
+    if total > MAX_N:
+        raise ValueError("concat dimension %d exceeds the cap %d" % (total, MAX_N))
+
+
 def make_concat(parts):
     """Concatenation: parts act on consecutive blocks, first part lowest bits."""
     parts = list(parts)
     if not parts:
         raise ValueError("concat needs at least one part")
     total = sum(p.n for p in parts)
-    if total > MAX_N:
-        raise ValueError("concat dimension %d exceeds the cap %d" % (total, MAX_N))
+    _check_concat(total)
     x = np.arange(1 << total, dtype=np.int64)
     y = np.zeros_like(x)
     offset = 0
@@ -220,8 +224,9 @@ def spec_string(fs):
 
 
 def build(fs):
-    """Materialize a FamilySpec into its TruthTable."""
+    """Materialize a FamilySpec into its TruthTable; a concat over the cap is refused before any part is built."""
     if fs.family == "concat":
+        _check_concat(fs.n)
         return make_concat([build(p) for p in fs.parts])
     fields = _fields(fs)  # before the lookup, so an unknown family is a ValueError
     return FAMILIES[fs.family][0](*fields)

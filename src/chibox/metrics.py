@@ -220,11 +220,6 @@ def _walsh_block(ent, rows):
     return _wht(1 - 2 * parity.astype(np.float32))
 
 
-def walsh_values(f, a):
-    """Signed Walsh row W(a, .) for one output mask a, all input masks b, as int32."""
-    return _walsh_block(f.entries, np.array([a], dtype=np.int64))[0]
-
-
 def walsh_spectrum(f):
     """Signed Walsh values over all (a,b); headline NL = 2^(n-1) - max|W|/2.
 

@@ -153,7 +153,10 @@ def group_pow(f, k):
     """f composed with itself k times, by binary exponentiation; f^0 is the identity."""
     if k < 0:
         raise ValueError("iterate power must be non-negative")
-    return _power(group_mul, identity_comb(f.n, f.m), f, k)
+    if k == 0:
+        return identity_comb(f.n, f.m)
+    _require_unit(f)
+    return _power(group_mul, f, k)
 
 
 def iterate_coeffs(n, m, k):

@@ -8,11 +8,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chibox
-from chibox import iterate, make_chi_nm, table_from_entries, table_from_json, table_to_json
+from chibox import TruthTable, iterate, make_chi_nm, table_from_json, table_to_json
 from chibox.cli import main
 
 import golden
@@ -130,7 +131,7 @@ def test_analyze_reads_symmetry_off_the_entries_not_the_family(tmp_path, capsys)
     ent = make_chi_nm(8, 3).entries.copy()
     ent[[1, 2]] = ent[[2, 1]]
     path = tmp_path / "perturbed.tbl"
-    path.write_text(table_to_json(table_from_entries(8, ent), family="chi_nm:8:3"))
+    path.write_text(table_to_json(TruthTable(8, ent), family="chi_nm:8:3"))
     rc, out, _ = run_cli(
         capsys, "analyze", str(path), "--metrics", "ddt,walsh,bct,dlct", "--format", "structured"
     )
@@ -438,6 +439,29 @@ def test_exit_code_4_io(tmp_path, capsys):
     assert rc == 4 and err.startswith("error:") and err.count("\n") == 1
 
 
+# malformed input files that must end in exit 4, not in a traceback or an internal error
+MALFORMED = {
+    "hex word of 2^80": b'{"n":1,"family":"","entries":["0","ffffffffffffffffffff"]}',
+    "nested 200 000 deep": b'{"n":1,"family":"","entries":' + b"[" * 200000 + b"]" * 200000 + b"}",
+    "GE of NaN": b"gate,technology,ge\nXOR,t,NaN\nAND,t,1\nNOT,t,1\n",
+    "GE of Infinity": b"gate,technology,ge\nXOR,t,Infinity\nAND,t,1\nNOT,t,1\n",
+    "GE over the csv field limit": b"gate,technology,ge\nXOR,t," + b"1" * 200000 + b"\nAND,t,1\nNOT,t,1\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_files_exit_4_with_one_error_line(tmp_path, capsys, case):
+    path = tmp_path / "doc"
+    path.write_bytes(MALFORMED[case])
+    if case.startswith("GE"):
+        argv = ("cost", "chi", "--n", "5", "--lib", "t", "--gates", str(path))
+    else:
+        argv = ("analyze", str(path), "--metrics", "degree")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (4, ""), err
+    assert err.startswith("error: bad ") and err.count("\n") == 1, err
+
+
 def test_console_script_entry_point():
     # run the declared console script as its generated wrapper does, so the
     # check needs no install; an installed chibox script runs as well
@@ -549,25 +573,57 @@ FUZZ_QUERY = _mostly(
 )
 
 
-@pytest.fixture(scope="module")
-def fuzz_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzz")
-    files = {name: str(root / name) for name in ("table.tbl", "bad.tbl", "gates.csv", "bad.csv", "out")}
-    Path(files["table.tbl"]).write_text(table_to_json(make_chi_nm(8, 3), "chi_nm:8:3"))
-    Path(files["bad.tbl"]).write_text("{not json")
-    Path(files["gates.csv"]).write_text("gate,technology,ge\nXOR,demo,2.00\nAND,demo,1.00\nNOT,demo,0.50\n")
-    Path(files["bad.csv"]).write_text("gate,technology\nXOR,demo\n")
-    files["missing"] = str(root / "missing" / "x")
-    return files
+# the documents an argv may name: drawn with it, except "missing/x", whose
+# directory does not exist, and "out", which -o writes
+FUZZ_HEX = st.text(alphabet="0123456789abcdef", min_size=1, max_size=20)
+FUZZ_ENTRY = st.one_of(FUZZ_HEX, st.integers(-1, 1 << 70), st.floats(), st.none(), st.lists(FUZZ_HEX, max_size=2))
+FUZZ_DEEP = MALFORMED["nested 200 000 deep"]
+FUZZ_GE = st.one_of(
+    st.decimals(min_value=0, max_value=100, places=2).map(str),
+    st.sampled_from(["NaN", "sNaN", "Infinity", "-0", "1e-999", "1e999", "NA", "abc", "", "1" * 200000]),
+)
 
 
 @st.composite
-def _argv(draw, files):
+def _table_document(draw):
+    """A table document of n <= 8 as dump_json writes it, mostly with one byte
+    changed or a few entries respelled, or an array nested 200 000 deep."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    words = rng.permutation(1 << n) if draw(st.booleans()) else rng.integers(0, 1 << n, size=1 << n)
+    text = table_to_json(TruthTable(n, words), "fuzz").encode()
+    kind = draw(st.sampled_from(["as written", "one byte", "entries", "deep"]))
+    if kind == "one byte":
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + bytes([draw(st.integers(0, 255))]) + text[i + 1 :]
+    elif kind == "entries":
+        entries = json.loads(text)["entries"]
+        for _ in range(draw(st.integers(1, 3))):
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(FUZZ_ENTRY)
+        text = json.dumps({"n": n, "family": "fuzz", "entries": entries}).encode()
+    elif kind == "deep":
+        text = FUZZ_DEEP
+    return text
+
+
+@st.composite
+def _gate_csv(draw):
+    header = draw(_mostly(st.just("gate,technology,ge"), st.just("gate,technology")))
+    rows = ["%s,demo,%s" % (gate, draw(FUZZ_GE)) for gate in ("XOR", "AND", "NOT")]
+    return "\n".join([header] + rows).encode() + b"\n"
+
+
+@st.composite
+def _case(draw):
+    """(argv, documents): the argv names its files by their keys in documents, or as missing/x or out."""
+    documents = {}
     command = draw(st.sampled_from(["construct", "analyze", "group", "fixed-points", "cost"]))
     if command == "construct":
         argv = [command, draw(FUZZ_SPEC)]
     elif command == "analyze":
-        target = draw(_mostly(FUZZ_SPEC, st.sampled_from([files["table.tbl"], files["bad.tbl"], files["missing"]])))
+        target = draw(st.one_of(FUZZ_SPEC, st.sampled_from(["table.tbl", "missing/x"])))
+        if target == "table.tbl":
+            documents[target] = draw(_table_document())
         argv = [command, target, "--metrics", draw(FUZZ_METRICS)]
     elif command == "group":
         n, m = draw(FUZZ_INT), draw(FUZZ_SMALL)
@@ -583,25 +639,35 @@ def _argv(draw, files):
     else:
         template = draw(_mostly(st.sampled_from(["chi", "chi_prime3", "cchi"]), st.just("frob")))
         argv = [command, template, "--n", draw(FUZZ_INT), "--lib", draw(st.sampled_from(["umc180", "demo", "nope"]))]
-        gates = draw(st.sampled_from([None, files["gates.csv"], files["bad.csv"], files["missing"]]))
+        gates = draw(st.sampled_from([None, "gates.csv", "missing/x"]))
+        if gates == "gates.csv":
+            documents[gates] = draw(_gate_csv())
         argv += ["--gates", gates] if gates else []
     if draw(st.booleans()):
         argv += ["--format", draw(_mostly(st.sampled_from(["text", "structured"]), st.sampled_from(["json", ""])))]
     if draw(st.booleans()):
-        argv += ["-o", draw(_mostly(st.just(files["out"]), st.just(files["missing"])))]
+        argv += ["-o", draw(_mostly(st.just("out"), st.just("missing/x")))]
     # one argv in eight gets an unknown flag, none of them a prefix of a real
     # one (argparse would take it), and one in eight loses an argument
     if draw(st.integers(0, 7)) == 7:
         argv.append(draw(st.sampled_from(["--frob", "-x", "--zzz"])))
     if draw(st.integers(0, 7)) == 7:
         del argv[draw(st.integers(0, len(argv) - 1))]
-    return argv
+    return argv, documents
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_fuzzed_argv_ends_in_an_exit_code_and_one_error_line(fuzz_files, data):
-    argv = data.draw(_argv(fuzz_files), label="argv")
+@given(case=_case())
+@example(case=(["analyze", "table.tbl", "--metrics", "degree"], {"table.tbl": MALFORMED["hex word of 2^80"]}))
+@example(case=(["analyze", "table.tbl", "--metrics", "degree"], {"table.tbl": FUZZ_DEEP}))
+@example(case=(["cost", "chi", "--n", "5", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": MALFORMED["GE of NaN"]}))
+def test_fuzzed_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, case):
+    argv, documents = case
+    root = tmp_path_factory.getbasetemp() / "fuzz"
+    root.mkdir(exist_ok=True)
+    for name, body in documents.items():
+        (root / name).write_bytes(body)
+    argv = [str(root / a) if a in (*documents, "missing/x", "out") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)

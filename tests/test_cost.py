@@ -1,3 +1,5 @@
+import csv
+import io
 from decimal import Decimal
 
 import pytest
@@ -12,7 +14,6 @@ from chibox import (
     cchi_template,
     chi_prime3_template,
     chi_template,
-    dump_gate_libraries,
     latency_stages,
     load_gate_libraries,
     load_gate_library,
@@ -23,10 +24,16 @@ from chibox import (
 
 
 def test_shipped_csv_round_trips():
+    # every row of the CSV, as csv reads it, is one cell of the loaded libraries
     text = shipped_gate_csv()
     libs = load_gate_libraries(text)
     assert set(libs) == set(TECHNOLOGIES)
-    assert dump_gate_libraries(libs) == text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["gate", "technology", "ge"]
+    cells = {(gate, tech): ge for gate, tech, ge in rows[1:]}
+    assert len(cells) == len(rows) - 1
+    loaded = {(gate, tech): str(value) for tech, lib in libs.items() for gate, value in lib.ge.items()}
+    assert loaded == {key: ge for key, ge in cells.items() if ge != "NA"}
 
 
 def test_area_values_are_exact_decimals():
@@ -100,6 +107,17 @@ def test_csv_validation():
         load_gate_libraries("gate,technology,ge\nNOT,umc180,abc\n")
     with pytest.raises(ValueError):
         load_gate_libraries("gate,technology,ge\nNOT,umc180,0.67\nNOT,umc180,0.5\n")
+
+
+@pytest.mark.parametrize("ge", ["NaN", "sNaN", "-NaN", "Infinity", "-Infinity", "inf", "0", "-0"])
+def test_ge_must_be_finite_and_positive(ge):
+    with pytest.raises(ValueError, match="GE value must be positive, got %s for NOT/demo" % ge):
+        load_gate_libraries("gate,technology,ge\nNOT,demo,%s\n" % ge)
+
+
+def test_ge_takes_any_finite_positive_decimal():
+    libs = load_gate_libraries("gate,technology,ge\nNOT,demo,1e-999\nXOR,demo,1e999\n")
+    assert libs["demo"].ge == {"NOT": Decimal("1e-999"), "XOR": Decimal("1e999")}
 
 
 def test_na_marks_gate_unavailable():

@@ -8,11 +8,11 @@ from chibox import (
     FamilyParseError,
     FamilySpec,
     ThetaComb,
+    TruthTable,
     build,
     comb_from_bitstring,
     comb_to_table,
     compose,
-    constant_table,
     identity_table,
     is_permutation,
     make_cchi,
@@ -65,14 +65,14 @@ def test_theta_vanishing_when_m_coprime():
                 continue
             for k in range(0, 2 * (n // m) + 3):
                 t = make_theta(n, m, k)
-                assert (t == constant_table(n, 0)) == (m * k > n)
+                assert (t == TruthTable(n, np.zeros(1 << n, dtype=np.int64))) == (m * k > n)
 
 
 def test_theta_survives_wrap_when_m_divides_n():
     # with m | n the wrapped window can miss every inverted factor, so the
     # vanishing rule above genuinely needs the non-divisibility hypothesis
     t = make_theta(4, 2, 3)
-    assert t != constant_table(4, 0)
+    assert t != TruthTable(4, [0] * 16)
     assert table_degree(t) == 3
 
 
@@ -189,8 +189,29 @@ def test_concat_places_first_part_low():
 def test_concat_validation():
     with pytest.raises(ValueError):
         make_concat([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="concat dimension 25 exceeds the cap 24"):
         make_concat([make_chi(13), make_chi(12)])
+
+
+@pytest.mark.parametrize(
+    "spec, total",
+    [
+        ("concat(chi:24,chi:24)", 48),
+        ("concat(chi:24,chi:2)", 26),
+        ("concat(concat(chi:20,chi:20),chi:3)", 43),
+    ],
+)
+def test_concat_over_the_cap_is_refused_before_any_part_is_built(spec, total):
+    # the sum of the parts is known from the spec, so no 2^24-word part is made
+    fs = parse_family(spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="concat dimension %d exceeds the cap 24" % total):
+            build(fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_parse_round_trip():

@@ -11,6 +11,7 @@ from chibox import (
     DOM_ALL_PAIRS,
     NotAPermutation,
     SpectrumReport,
+    TruthTable,
     boomerang_spectrum,
     build,
     compose,
@@ -24,9 +25,7 @@ from chibox import (
     parse_family,
     render_spectrum,
     shift,
-    table_from_entries,
     walsh_spectrum,
-    walsh_values,
 )
 
 from chibox import cli, metrics
@@ -128,16 +127,16 @@ def test_differential_values_even_and_rows_sum():
 def test_walsh_cross_check_and_parseval():
     rng = np.random.default_rng(29)
     for n in (3, 4, 5, 6):
-        f = table_from_entries(n, rng.integers(0, 1 << n, size=1 << n))
+        f = TruthTable(n, rng.integers(0, 1 << n, size=1 << n))
         table = walsh_table(f.entries)
-        for a in range(1 << n):
-            assert np.array_equal(walsh_values(f, a), table[a]), (n, a)
+        rows = metrics._walsh_block(f.entries, np.arange(1 << n, dtype=np.int64))
+        assert np.array_equal(rows, table), n
         rep = walsh_spectrum(f)
         assert sum(v * v * c for v, c in rep.multiset) == 1 << (3 * n)
         assert rep.total() == 1 << (2 * n)
     # per-component Parseval on a single mask row
     f = make_chi(5)
-    row = walsh_values(f, 11)
+    row = metrics._walsh_block(f.entries, np.array([11], dtype=np.int64))[0]
     assert int(np.sum(np.asarray(row, dtype=np.int64) ** 2)) == 1 << 10
 
 
@@ -150,7 +149,7 @@ def test_walsh_headline_counts_nonzero_masks_only():
 
 def test_spectra_invariant_under_bit_relabeling():
     n = 5
-    rev = table_from_entries(
+    rev = TruthTable(
         n, [int(format(x, "05b")[::-1], 2) for x in range(1 << n)]
     )
     f = make_chi(5)
@@ -179,12 +178,12 @@ ROTATION_PERIOD = {
 @pytest.mark.parametrize("name", sorted(ROTATION_PERIOD))
 def test_spectra_over_rotation_orbits(name):
     if name == "random:8":
-        f = table_from_entries(8, np.random.default_rng(8).permutation(1 << 8))
+        f = TruthTable(8, np.random.default_rng(8).permutation(1 << 8))
     elif name == "perturbed chi_nm:8:3":
         # F(1) and F(2) swapped: a permutation without the symmetry
         ent = make_chi_nm(8, 3).entries.copy()
         ent[[1, 2]] = ent[[2, 1]]
-        f = table_from_entries(8, ent)
+        f = TruthTable(8, ent)
     else:
         f = build(parse_family(name))
     t, rot = metrics._period(f)
@@ -207,7 +206,7 @@ def test_spectra_over_rotation_orbits(name):
 @pytest.mark.parametrize("name", ["chi_nm:9:3", "chi_nm:9:4", "random:8"])
 def test_blocked_spectra_across_block_boundaries(name):
     if name == "random:8":
-        f = table_from_entries(8, np.random.default_rng(88).permutation(1 << 8))
+        f = TruthTable(8, np.random.default_rng(88).permutation(1 << 8))
     else:
         f = build(parse_family(name))
     height = metrics._BLOCK >> f.n
@@ -254,7 +253,7 @@ def test_walsh_rows_of_the_identity_at_n20():
     n = 20
     f = identity_table(n)
     for a in (1, 0x5A5A5, (1 << n) - 1):
-        row = walsh_values(f, a)
+        row = metrics._walsh_block(f.entries, np.array([a], dtype=np.int64))[0]
         assert row.dtype == np.int32
         assert np.flatnonzero(row).tolist() == [a]
         assert row[a] == 1 << n
@@ -318,7 +317,7 @@ def test_boomerang_table_of_random_permutations(n):
     rng = np.random.default_rng(n)
     for _ in range(3 if n < 8 else 1):
         ent = rng.permutation(1 << n)
-        f = table_from_entries(n, ent)
+        f = TruthTable(n, ent)
         assert np.array_equal(_bct(f)[1:, 1:], oracles.boomerang_table(ent)[1:, 1:])
 
 
@@ -360,7 +359,7 @@ def test_boomerang_memory_capped_by_the_pair_chunks(monkeypatch):
 def test_boomerang_ddt_identity_at_n10():
     # sum of beta over a, b != 0 = sum of DDT^2 over a != 0 - (2^n - 1) 2^n
     n = 10
-    f = table_from_entries(n, np.random.default_rng(10).permutation(1 << n))
+    f = TruthTable(n, np.random.default_rng(10).permutation(1 << n))
     bct = boomerang_spectrum(f)
     ddt = differential_spectrum(f)
     assert bct.total() == ((1 << n) - 1) ** 2
