@@ -35,20 +35,12 @@ from .boolmap import (
 )
 from .cost import (
     GATE_KINDS,
-    TECHNOLOGIES,
-    CircuitTemplate,
-    GateLibrary,
+    TEMPLATES,
     GateUnavailableError,
     area_estimate,
-    cchi_template,
-    chi_prime3_template,
-    chi_template,
-    latency_stages,
+    check_template,
     load_gate_libraries,
-    load_gate_library,
-    shipped_gate_csv,
     shipped_libraries,
-    template_by_name,
 )
 from .families import (
     FamilyParseError,

@@ -261,20 +261,18 @@ def cmd_fixed_points(args):
 
 
 def cmd_cost(args):
-    template = cost.template_by_name(args.template, args.n)
+    _, _, stages = cost.check_template(args.template, args.n)  # before --gates is read
     if args.gates:
         libs = _load_file(args.gates, cost.load_gate_libraries, "gate library")
     else:
         libs = cost.shipped_libraries()
-    if args.lib not in libs:
-        raise ValueError("unknown library %r (have: %s)" % (args.lib, ",".join(sorted(libs))))
     doc = {
         "command": "cost",
         "template": args.template,
         "n": args.n,
         "library": args.lib,
-        "area_ge": str(cost.area_estimate(template, libs[args.lib])),
-        "latency_stages": cost.latency_stages(template),
+        "area_ge": str(cost.area_estimate(args.template, args.n, libs, args.lib)),
+        "latency_stages": stages,
     }
     # the text form lists the same fields, one per line
     return doc, "".join("%s: %s\n" % (key, doc[key]) for key in list(doc)[1:]), None

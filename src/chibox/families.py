@@ -224,9 +224,15 @@ def spec_string(fs):
 
 
 def build(fs):
-    """Materialize a FamilySpec into its TruthTable; a concat over the cap is refused before any part is built."""
+    """Materialize a FamilySpec into its TruthTable.
+
+    A concat over the cap is refused before any part is built, and its parts
+    are built smallest first, so a faulty part is refused before a larger one
+    is built; equal parts are built once.
+    """
     if fs.family == "concat":
         _check_concat(fs.n)
-        return make_concat([build(p) for p in fs.parts])
+        tables = {p: build(p) for p in sorted(dict.fromkeys(fs.parts), key=lambda p: p.n)}
+        return make_concat([tables[p] for p in fs.parts])
     fields = _fields(fs)  # before the lookup, so an unknown family is a ValueError
     return FAMILIES[fs.family][0](*fields)

@@ -26,10 +26,8 @@ from chibox import (
     area_estimate,
     boomerang_spectrum,
     build,
-    cchi_template,
+    check_template,
     chi_comb,
-    chi_prime3_template,
-    chi_template,
     comb_to_table,
     component_degree,
     compose,
@@ -47,7 +45,6 @@ from chibox import (
     is_permutation,
     iterate,
     iterate_coeffs,
-    latency_stages,
     make_cchi,
     make_chi,
     make_chi_nm,
@@ -320,16 +317,13 @@ def test_12_involution_criteria():
 
 def test_13_cost_model():
     libs = shipped_libraries()
-    umc = libs["umc180"]
-    assert area_estimate(chi_prime3_template(5), umc) == Decimal("23.35")
-    assert area_estimate(chi_template(5), umc) == Decimal("23.35")
-    assert latency_stages(chi_prime3_template(5)) == 4
-    assert latency_stages(chi_template(5)) == 3
-    for tech, lib in libs.items():
+    assert area_estimate("chi_prime3", 5, libs, "umc180") == Decimal("23.35")
+    assert area_estimate("chi", 5, libs, "umc180") == Decimal("23.35")
+    assert check_template("chi_prime3", 5)[2] == 4
+    assert check_template("chi", 5)[2] == 3
+    for tech in libs:
         for n in (8, 12, 16, 20, 24):
-            assert area_estimate(chi_prime3_template(n), lib) <= area_estimate(
-                cchi_template(n), lib
-            ), (tech, n)
+            assert area_estimate("chi_prime3", n, libs, tech) <= area_estimate("cchi", n, libs, tech), (tech, n)
 
 
 def test_14_chi_prime_equivalence():

@@ -366,6 +366,73 @@ def test_cost_custom_gate_csv(tmp_path, capsys):
     assert "area_ge: 14.00" in out
 
 
+# (template, n, library) -> area_ge: each template at its smallest n and at n = 20
+COST_PINNED = {
+    ("chi", 3, "umc180"): "14.01",
+    ("chi", 3, "nangate45"): "12.00",
+    ("chi", 20, "umc180"): "93.40",
+    ("chi", 20, "nangate45"): "80.00",
+    ("chi_prime3", 4, "umc180"): "18.68",
+    ("chi_prime3", 4, "nangate45"): "16.00",
+    ("chi_prime3", 20, "umc180"): "93.40",
+    ("chi_prime3", 20, "nangate45"): "80.00",
+    ("cchi", 8, "umc180"): "38.03",
+    ("cchi", 8, "nangate45"): "32.67",
+    ("cchi", 20, "umc180"): "94.07",
+    ("cchi", 20, "nangate45"): "80.67",
+}
+COST_STAGES = {"chi": 3, "chi_prime3": 4, "cchi": 3}
+
+
+@pytest.mark.parametrize("template, n, lib", list(COST_PINNED))
+def test_cost_pinned_output(capsys, template, n, lib):
+    area, stages = COST_PINNED[template, n, lib], COST_STAGES[template]
+    argv = ("cost", template, "--n", str(n), "--lib", lib)
+    assert run_cli(capsys, *argv) == (
+        0,
+        "template: %s\nn: %d\nlibrary: %s\narea_ge: %s\nlatency_stages: %d\n" % (template, n, lib, area, stages),
+        "",
+    )
+    assert run_cli(capsys, *argv, "--format", "structured") == (
+        0,
+        '{"command":"cost","template":"%s","n":%d,"library":"%s","area_ge":"%s","latency_stages":%d}\n'
+        % (template, n, lib, area, stages),
+        "",
+    )
+
+
+def test_cost_error_order(tmp_path, capsys):
+    missing = str(tmp_path / "no.csv")
+    # the template is checked before --gates is read
+    assert run_cli(capsys, "cost", "frob", "--n", "5", "--lib", "umc180", "--gates", missing) == (
+        3,
+        "",
+        "error: unknown template 'frob'\n",
+    )
+    assert run_cli(capsys, "cost", "chi", "--n", "2", "--lib", "umc180", "--gates", missing) == (
+        3,
+        "",
+        "error: chi needs n >= 3, got 2\n",
+    )
+    # --gates is read before the library is looked up
+    rc, out, err = run_cli(capsys, "cost", "chi", "--n", "5", "--lib", "intel14", "--gates", missing)
+    assert (rc, out) == (4, "") and err.startswith("error: cannot read %s: " % missing) and err.count("\n") == 1
+    have = "nangate15,nangate45,smic130,smic65,std350,stm65,tsmc28,tsmc65,umc180"
+    assert run_cli(capsys, "cost", "chi", "--n", "5", "--lib", "intel14") == (
+        3,
+        "",
+        "error: unknown library 'intel14' (have: %s)\n" % have,
+    )
+    # a library that lacks a gate the template needs
+    gates = tmp_path / "gates.csv"
+    gates.write_text("gate,technology,ge\nXOR,t,1\nNOT,t,1\n")
+    assert run_cli(capsys, "cost", "chi", "--n", "5", "--lib", "t", "--gates", str(gates)) == (
+        3,
+        "",
+        "error: gate AND unavailable in library t\n",
+    )
+
+
 def test_exit_code_2_usage(capsys):
     rc, _, err = run_cli(capsys, "analyze", "bogus:9", "--metrics", "ddt")
     assert rc == 2 and "error:" in err

@@ -1,99 +1,98 @@
 import csv
 import io
 from decimal import Decimal
+from importlib import resources
 
 import pytest
 
 from chibox import (
     GATE_KINDS,
-    TECHNOLOGIES,
-    CircuitTemplate,
-    GateLibrary,
+    TEMPLATES,
     GateUnavailableError,
     area_estimate,
-    cchi_template,
-    chi_prime3_template,
-    chi_template,
-    latency_stages,
+    check_template,
     load_gate_libraries,
-    load_gate_library,
-    shipped_gate_csv,
     shipped_libraries,
-    template_by_name,
 )
+
+# the nine bundled technologies of data/gates.csv
+TECHNOLOGIES = ("umc180", "tsmc65", "tsmc28", "smic130", "smic65", "nangate45", "nangate15", "std350", "stm65")
 
 
 def test_shipped_csv_round_trips():
     # every row of the CSV, as csv reads it, is one cell of the loaded libraries
-    text = shipped_gate_csv()
+    text = resources.files("chibox").joinpath("data/gates.csv").read_text()
     libs = load_gate_libraries(text)
+    assert libs == shipped_libraries()
     assert set(libs) == set(TECHNOLOGIES)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["gate", "technology", "ge"]
     cells = {(gate, tech): ge for gate, tech, ge in rows[1:]}
     assert len(cells) == len(rows) - 1
-    loaded = {(gate, tech): str(value) for tech, lib in libs.items() for gate, value in lib.ge.items()}
+    loaded = {(gate, tech): str(value) for tech, lib in libs.items() for gate, value in lib.items()}
     assert loaded == {key: ge for key, ge in cells.items() if ge != "NA"}
 
 
 def test_area_values_are_exact_decimals():
-    lib = shipped_libraries()["umc180"]
-    assert lib.area_of("XOR") == Decimal("2.67")
-    assert lib.area_of("AND") == Decimal("1.33")
-    assert lib.area_of("NOT") == Decimal("0.67")
-    assert lib.area_of("NAND3") == Decimal("1.33")
-    assert area_estimate(chi_template(5), lib) == Decimal("23.35")
-    assert area_estimate(chi_prime3_template(5), lib) == Decimal("23.35")
+    libs = shipped_libraries()
+    umc = libs["umc180"]
+    assert umc["XOR"] == Decimal("2.67")
+    assert umc["AND"] == Decimal("1.33")
+    assert umc["NOT"] == Decimal("0.67")
+    assert umc["NAND3"] == Decimal("1.33")
+    assert area_estimate("chi", 5, libs, "umc180") == Decimal("23.35")
+    assert area_estimate("chi_prime3", 5, libs, "umc180") == Decimal("23.35")
+    assert str(area_estimate("chi", 5, libs, "umc180")) == "23.35"
 
 
 def test_latency_stages():
-    assert latency_stages(chi_template(5)) == 3
-    assert latency_stages(chi_prime3_template(5)) == 4
-    assert latency_stages(cchi_template(8)) == 3
+    assert check_template("chi", 5)[2] == 3
+    assert check_template("chi_prime3", 5)[2] == 4
+    assert check_template("cchi", 8)[2] == 3
 
 
 def test_area_scales_linearly_in_width():
+    libs = shipped_libraries()
     for tech in TECHNOLOGIES:
-        lib = shipped_libraries()[tech]
-        a5 = area_estimate(chi_template(5), lib)
-        a10 = area_estimate(chi_template(10), lib)
+        a5 = area_estimate("chi", 5, libs, tech)
+        a10 = area_estimate("chi", 10, libs, tech)
         assert a10 == 2 * a5
 
 
 def test_chi_prime3_never_costs_more_than_cchi():
     libs = shipped_libraries()
     for tech in TECHNOLOGIES:
-        lib = libs[tech]
         for n in (8, 12, 16, 20):
-            lean = area_estimate(chi_prime3_template(n), lib)
-            wide = area_estimate(cchi_template(n), lib)
+            lean = area_estimate("chi_prime3", n, libs, tech)
+            wide = area_estimate("cchi", n, libs, tech)
             assert lean <= wide, (tech, n)
             assert lean < wide, (tech, n)
 
 
 def test_nand_nor_cost_one_everywhere():
     for tech, lib in shipped_libraries().items():
-        assert lib.area_of("NAND") == Decimal("1.00"), tech
-        assert lib.area_of("NOR") == Decimal("1.00"), tech
+        assert lib["NAND"] == Decimal("1.00"), tech
+        assert lib["NOR"] == Decimal("1.00"), tech
 
 
 def test_unavailable_gate_raises():
-    lib = shipped_libraries()["nangate45"]
-    with pytest.raises(GateUnavailableError):
-        lib.area_of("XOR3")
-    t = CircuitTemplate("x3", (("XOR3", 1),), 4, 1)
-    with pytest.raises(GateUnavailableError):
-        area_estimate(t, lib)
+    # NA leaves a kind out of its library: XOR3 in nangate45
+    assert "XOR3" not in shipped_libraries()["nangate45"]
+    libs = {"demo": {"XOR": Decimal(2), "NOT": Decimal(1)}, "umc180": shipped_libraries()["umc180"]}
+    with pytest.raises(GateUnavailableError, match="gate AND unavailable in library demo"):
+        area_estimate("chi", 5, libs, "demo")
+    with pytest.raises(GateUnavailableError, match="gate NAND3 unavailable in library demo"):
+        area_estimate("chi_prime3", 5, libs, "demo")
     # the same template prices fine where the cell exists
-    assert area_estimate(t, shipped_libraries()["umc180"]) == 4 * Decimal("4.67")
+    assert area_estimate("chi", 5, libs, "umc180") == Decimal("23.35")
 
 
-def test_load_single_library():
-    lib = load_gate_library(shipped_gate_csv(), "tsmc65")
-    assert isinstance(lib, GateLibrary)
-    assert lib.area_of("XOR") == Decimal("2.50")
-    with pytest.raises(ValueError):
-        load_gate_library(shipped_gate_csv(), "intel14")
+def test_unknown_library_lists_the_known_ones():
+    with pytest.raises(ValueError, match=r"unknown library 'intel14' \(have: a,b\)"):
+        area_estimate("chi", 5, {"b": {}, "a": {}}, "intel14")
+    # the template is checked first
+    with pytest.raises(ValueError, match="unknown template 'frob'"):
+        area_estimate("frob", 5, {}, "intel14")
 
 
 def test_csv_validation():
@@ -117,43 +116,37 @@ def test_ge_must_be_finite_and_positive(ge):
 
 def test_ge_takes_any_finite_positive_decimal():
     libs = load_gate_libraries("gate,technology,ge\nNOT,demo,1e-999\nXOR,demo,1e999\n")
-    assert libs["demo"].ge == {"NOT": Decimal("1e-999"), "XOR": Decimal("1e999")}
+    assert libs["demo"] == {"NOT": Decimal("1e-999"), "XOR": Decimal("1e999")}
 
 
 def test_na_marks_gate_unavailable():
-    libs = load_gate_libraries("gate,technology,ge\nNOT,demo,0.5\nXOR3,demo,NA\n")
-    lib = libs["demo"]
-    assert lib.area_of("NOT") == Decimal("0.5")
-    with pytest.raises(GateUnavailableError):
-        lib.area_of("XOR3")
+    libs = load_gate_libraries("gate,technology,ge\nNOT,demo,0.5\nXOR,demo,0.5\nAND,demo,NA\n")
+    assert libs["demo"] == {"NOT": Decimal("0.5"), "XOR": Decimal("0.5")}
+    with pytest.raises(GateUnavailableError, match="gate AND unavailable in library demo"):
+        area_estimate("chi", 5, libs, "demo")
 
 
 def test_template_by_name():
-    assert template_by_name("chi", 5).per_bit_gates == chi_template(5).per_bit_gates
-    assert template_by_name("chi_prime3", 5).latency_stages == 4
-    assert template_by_name("cchi", 8).extra_gates == (("NOT", 1),)
-    with pytest.raises(ValueError):
-        template_by_name("frob", 5)
-    with pytest.raises(ValueError):
-        template_by_name("cchi", 10)
-
-
-def test_template_validation():
-    with pytest.raises(ValueError):
-        CircuitTemplate("bad", (("FROB", 1),), 4, 1)
-    with pytest.raises(ValueError):
-        CircuitTemplate("bad", (("NOT", 0),), 4, 1)
-    with pytest.raises(ValueError):
-        CircuitTemplate("bad", (("NOT", 1),), 0, 1)
+    assert check_template("chi", 5) is TEMPLATES["chi"]
+    assert check_template("chi_prime3", 5)[2] == 4
+    assert check_template("cchi", 8)[1] == (("NOT", 1),)
+    with pytest.raises(ValueError, match="unknown template 'frob'"):
+        check_template("frob", 5)
+    with pytest.raises(ValueError, match="cchi needs n = 2k with k even and at least 4, got 10"):
+        check_template("cchi", 10)
+    for n in (-8, 0, 4, 6, 7, 9, 14):
+        with pytest.raises(ValueError):
+            check_template("cchi", n)
+    for n in (8, 12, 16, 20):
+        check_template("cchi", n)
 
 
 @pytest.mark.parametrize(
     "call, match",
     [
         (lambda: load_gate_libraries("gate,technology,ge\nNOT,umc180\n"), "malformed gate row"),
-        (lambda: CircuitTemplate("bad", (("NOT", 1),), 4, 0), "latency_stages must be at least 1"),
-        (lambda: chi_template(2), "chi needs n >= 3"),
-        (lambda: chi_prime3_template(3), "chi_prime3 needs n >= 4"),
+        (lambda: check_template("chi", 2), "chi needs n >= 3"),
+        (lambda: check_template("chi_prime3", 3), "chi_prime3 needs n >= 4"),
     ],
 )
 def test_rejects_invalid_input(call, match):
@@ -163,16 +156,20 @@ def test_rejects_invalid_input(call, match):
 
 def test_blank_gate_rows_are_skipped():
     libs = load_gate_libraries("gate,technology,ge\n\nNOT,demo,0.5\n\n")
-    assert libs["demo"].ge == {"NOT": Decimal("0.5")}
+    assert libs["demo"] == {"NOT": Decimal("0.5")}
 
 
 def test_gate_inventories():
-    t = chi_template(5)
-    assert dict(t.per_bit_gates) == {"XOR": 1, "AND": 1, "NOT": 1}
-    assert t.bit_count == 5
-    t = chi_prime3_template(6)
-    assert dict(t.per_bit_gates) == {"XOR": 1, "NAND3": 1, "NOT": 1}
-    t = cchi_template(8)
-    assert dict(t.per_bit_gates) == {"XOR": 1, "AND": 1, "NOT": 1}
-    assert t.extra_gates == (("NOT", 1),)
-    assert set(GATE_KINDS) >= {g for g, _ in t.per_bit_gates}
+    per_bit, shared, _ = TEMPLATES["chi"]
+    assert dict(per_bit) == {"XOR": 1, "AND": 1, "NOT": 1}
+    assert shared == ()
+    per_bit, shared, _ = TEMPLATES["chi_prime3"]
+    assert dict(per_bit) == {"XOR": 1, "NAND3": 1, "NOT": 1}
+    assert shared == ()
+    per_bit, shared, _ = TEMPLATES["cchi"]
+    assert dict(per_bit) == {"XOR": 1, "AND": 1, "NOT": 1}
+    assert shared == (("NOT", 1),)
+    for per_bit, shared, stages in TEMPLATES.values():
+        assert set(GATE_KINDS) >= {g for g, _ in per_bit + shared}
+        assert all(count >= 1 for _, count in per_bit + shared)
+        assert stages >= 1

@@ -214,6 +214,29 @@ def test_concat_over_the_cap_is_refused_before_any_part_is_built(spec, total):
     assert peak < 1 << 20, peak
 
 
+def test_concat_refuses_a_bad_part_before_building_a_larger_one():
+    # parts are built smallest first, so chi:-3 is refused before chi:20 exists
+    fs = parse_family("concat(chi:20,chi:-3)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="chi needs n >= 3, got -3"):
+            build(fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 20), peak
+    # of two faulty parts, the smaller one is named
+    with pytest.raises(ValueError, match="chi needs n >= 3, got -3"):
+        build(parse_family("concat(chi:2,chi:-3)"))
+
+
+def test_concat_assembles_parts_in_spec_order():
+    # built smallest first, placed as written: first part lowest bits
+    f = build(parse_family("concat(chi:5,chi:3,chi:5)"))
+    assert f == make_concat([make_chi(5), make_chi(3), make_chi(5)])
+    assert f != make_concat([make_chi(3), make_chi(5), make_chi(5)])
+
+
 def test_parse_round_trip():
     for text in (
         "chi:5",
