@@ -3,18 +3,18 @@
 The package is organized as:
 
   boolmap     truth tables and the mapping algebra (+, compose),
-              permutation machinery, ANF and degrees
+              permutation machinery, the cycles report, ANF and degrees
   families    constructors for chi, chi_{n,m}, theta_{m,k}, chi'_{n,3},
               cchi and block concatenation
   thetagroup  coefficient-vector algebra of the unit group G_{n,m}
-  metrics     differential, Walsh, boomerang and DLCT spectra
+  metrics     differential, Walsh, boomerang and DLCT spectra, each
+              returned as the report document chibox analyze prints
   cost        gate-equivalent area and latency-stage estimation
   cli         the chibox command line tool
 """
 
 from .boolmap import (
     MAX_N,
-    CycleReport,
     NotAPermutation,
     TruthTable,
     anf,
@@ -59,7 +59,6 @@ from .metrics import (
     DOM_A_NONZERO,
     DOM_AB_NONZERO,
     DOM_ALL_PAIRS,
-    SpectrumReport,
     boomerang_spectrum,
     differential_spectrum,
     dlct_spectrum,

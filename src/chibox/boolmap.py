@@ -188,19 +188,6 @@ def _power(mul, base, k):
         base = mul(base, base)
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """Cycle decomposition of a permutation.
-
-    cycle_lengths is the multiset of cycle lengths as (length, multiplicity)
-    pairs sorted by length; order is the lcm of the lengths present.
-    """
-
-    cycle_lengths: tuple
-    order: int
-    fixed_point_count: int
-
-
 def _cycle_labels(p):
     """The least word of each word's cycle under the permutation p, an array of 2^n words, as int32.
 
@@ -222,19 +209,25 @@ def _cycle_labels(p):
 
 
 def cycle_structure(f):
-    """Cycle lengths, order and fixed-point count of a permutation; raises NotAPermutation otherwise.
+    """The cycles report document of a permutation; raises NotAPermutation otherwise.
 
-    The tally of the _cycle_labels gives each cycle's length, and the tally of the lengths their multiplicities.
+    The document is {"metric": "cycles", "n", "order", "fixed_point_count",
+    "cycle_lengths"}: cycle_lengths is the multiset of cycle lengths as
+    (length, multiplicity) pairs ascending by length, order the lcm of the
+    lengths present.  The tally of the _cycle_labels gives each cycle's
+    length, and the tally of the lengths their multiplicities.
     """
     _require_permutation(f)
     sizes = np.bincount(_cycle_labels(f.entries))
     counts = np.bincount(sizes[sizes > 0])
     lengths = np.flatnonzero(counts).tolist()
-    return CycleReport(
-        cycle_lengths=tuple((length, int(counts[length])) for length in lengths),
-        order=math.lcm(*lengths),
-        fixed_point_count=int(counts[1]),
-    )
+    return {
+        "metric": "cycles",
+        "n": f.n,
+        "order": math.lcm(*lengths),
+        "fixed_point_count": int(counts[1]),
+        "cycle_lengths": tuple((length, int(counts[length])) for length in lengths),
+    }
 
 
 def fixed_points(f):

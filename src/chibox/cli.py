@@ -128,33 +128,21 @@ def _metric_reports(table, selected):
             continue
         if name in SPECTRUM_FOR:
             rep = SPECTRUM_FOR[name](table)
-            text = "%s: %s %d, spectrum %s" % (
-                rep.metric,
-                HEADLINE_LABEL[rep.metric],
-                rep.headline,
-                metrics.render_spectrum(rep),
-            )
-            reports.append((metrics.report_doc(rep), text))
+            label = HEADLINE_LABEL[rep["metric"]]
+            text = "%s: %s %d, spectrum %s" % (rep["metric"], label, rep["headline"], metrics.render_spectrum(rep))
         elif name == "degree":
             value = boolmap.table_degree(table)
-            doc = {"metric": "degree", "n": table.n, "value": value}
-            reports.append((doc, "degree: %s" % ("undefined" if value is None else value)))
-        elif name == "cycles":
+            rep = {"metric": "degree", "n": table.n, "value": value}
+            text = "degree: %s" % ("undefined" if value is None else value)
+        else:
             rep = boolmap.cycle_structure(table)
-            doc = {
-                "metric": "cycles",
-                "n": table.n,
-                "order": rep.order,
-                "fixed_point_count": rep.fixed_point_count,
-                "cycle_lengths": [[length, mult] for length, mult in rep.cycle_lengths],
-            }
-            lengths = ",".join("%d^%d" % (length, mult) for length, mult in rep.cycle_lengths)
+            lengths = ",".join("%d^%d" % pair for pair in rep["cycle_lengths"])
             text = "cycles: order %d, fixed points %d, lengths {%s}" % (
-                rep.order,
-                rep.fixed_point_count,
+                rep["order"],
+                rep["fixed_point_count"],
                 lengths,
             )
-            reports.append((doc, text))
+        reports.append((rep, text))
     return reports
 
 

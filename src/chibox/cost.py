@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from importlib import resources
 
 GATE_KINDS = ("NOT", "AND", "OR", "NAND", "NOR", "XOR", "XNOR", "AND3", "NAND3", "XOR3")
@@ -93,5 +93,9 @@ def area_estimate(template, n, libs, technology):
         for kind, count in gates:
             if kind not in ge:
                 raise GateUnavailableError("gate %s unavailable in library %s" % (kind, technology))
-            total += ge[kind] * count * scale
+            try:
+                total += ge[kind] * count * scale
+            except Overflow:
+                msg = "area of %s at n=%d in library %s overflows the decimal range"
+                raise ValueError(msg % (template, n, technology)) from None
     return total

@@ -58,7 +58,6 @@ pairs, so no temporary outgrows a _BLOCK-entry chunk or a 2^n row.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,36 +68,17 @@ DOM_ALL_PAIRS = "all (a,b)"
 DOM_AB_NONZERO = "a nonzero, b nonzero"
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """One spectrum: metric name, headline statistic, and the value multiset.
-
-    multiset is a tuple of (value, count) pairs sorted ascending by value;
-    domain names the enumerated (a,b) region.
-    """
-
-    metric: str
-    n: int
-    headline: int
-    multiset: tuple
-    domain: str
-
-    def counts(self):
-        return dict(self.multiset)
-
-    def total(self):
-        return sum(c for _, c in self.multiset)
-
-
 def _spectrum(metric, n, rows, domain, headline, moments):
-    """Report of the value multiset of rows, (weight, flat integer array over [-2^n, 2^n]) pairs.
+    """The report document {"metric", "n", "headline", "spectrum", "domain"} of rows.
 
-    Every flat array, one row or a block of rows, is tallied with one
-    bincount at offset 2^n and counted weight times; headline maps the
-    sorted (value, count) multiset to the headline statistic.  Before it
-    returns, the multiset must meet the count identities of every true
-    table, sum v^k c = want for each (k, want) of moments, k = 0 giving the
-    size of the domain; a mismatch raises RuntimeError.
+    rows yields (weight, flat integer array over [-2^n, 2^n]) pairs; spectrum
+    is their value multiset as (value, count) pairs ascending by value, and
+    domain names the enumerated (a,b) region.  Every flat array, one row or
+    a block of rows, is tallied with one bincount at offset 2^n and counted
+    weight times; headline maps the spectrum to the headline statistic.
+    Before it returns, the multiset must meet the count identities of every
+    true table, sum v^k c = want for each (k, want) of moments, k = 0 giving
+    the size of the domain; a mismatch raises RuntimeError.
     """
     size = 1 << n
     hist = np.zeros(2 * size + 1, dtype=np.int64)
@@ -110,7 +90,7 @@ def _spectrum(metric, n, rows, domain, headline, moments):
         if got != want:
             msg = "%s spectrum of n=%d fails its count identity: sum v^%d c = %d, not %d"
             raise RuntimeError(msg % (metric, n, k, got, want))
-    return SpectrumReport(metric, n, headline(multiset), multiset, domain)
+    return {"metric": metric, "n": n, "headline": headline(multiset), "spectrum": multiset, "domain": domain}
 
 
 def _largest(multiset):
@@ -313,24 +293,13 @@ def dlct_spectrum(f):
 
 
 def render_spectrum(report):
-    """Compact {value^count, ...} rendering, count 1 printed bare.
+    """Compact {value^count, ...} rendering of a report's spectrum, count 1 printed bare.
 
     Values are ordered by absolute value, the negative sign first within a
     pair, mirroring the usual presentation of signed spectra.
     """
-    items = sorted(report.multiset, key=lambda vc: (abs(vc[0]), vc[0]))
+    items = sorted(report["spectrum"], key=lambda vc: (abs(vc[0]), vc[0]))
     parts = []
     for v, c in items:
         parts.append("%d^%d" % (v, c) if c != 1 else "%d" % v)
     return "{%s}" % ",".join(parts)
-
-
-def report_doc(report):
-    """The JSON document of a report, as printed by chibox analyze."""
-    return {
-        "metric": report.metric,
-        "n": report.n,
-        "headline": report.headline,
-        "spectrum": [[int(v), int(c)] for v, c in report.multiset],
-        "domain": report.domain,
-    }

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import chibox
 from chibox import TruthTable, iterate, make_chi_nm, table_from_json, table_to_json
+from chibox.boolmap import dump_json
 from chibox.cli import main
 
 import golden
@@ -108,6 +109,28 @@ def test_analyze_cycles_and_degree(capsys):
     assert cyc["order"] == 4
     assert cyc["fixed_point_count"] == 48
     assert cyc["cycle_lengths"] == [[1, 48], [2, 72], [4, 16]]
+
+
+def test_library_reports_are_the_printed_documents(tmp_path, capsys):
+    # analyze prints what the library returns: the spectra and cycle_structure
+    # give the report documents themselves, and the CLI dispatches to them
+    library = {
+        "ddt": chibox.differential_spectrum,
+        "walsh": chibox.walsh_spectrum,
+        "bct": chibox.boomerang_spectrum,
+        "dlct": chibox.dlct_spectrum,
+    }
+    for name, fn in library.items():
+        assert chibox.cli.SPECTRUM_FOR[name] is fn, name
+    perm = TruthTable(7, np.random.default_rng(5).permutation(1 << 7))
+    path = tmp_path / "random.tbl"
+    path.write_text(table_to_json(perm, "random"))
+    for target, table in (("chi_nm:7:3", make_chi_nm(7, 3)), ("cchi:8", chibox.make_cchi(8)), (str(path), perm)):
+        want = [fn(table) for fn in library.values()] + [chibox.cycle_structure(table)]
+        argv = ("analyze", target, "--metrics", "ddt,walsh,bct,dlct,cycles", "--format", "structured")
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, ""), target
+        assert json.loads(out)["reports"] == [json.loads(dump_json(rep)) for rep in want], target
 
 
 def test_analyze_from_file_equals_from_spec(tmp_path, capsys):
@@ -516,6 +539,10 @@ MALFORMED = {
 }
 
 
+# a well-formed gate CSV whose chi area at n = 3 exceeds the decimal range
+GE_OVERFLOW = b"gate,technology,ge\nXOR,t,9e999999\nAND,t,1\nNOT,t,1\n"
+
+
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_files_exit_4_with_one_error_line(tmp_path, capsys, case):
     path = tmp_path / "doc"
@@ -728,6 +755,7 @@ def _case(draw):
 @example(case=(["analyze", "table.tbl", "--metrics", "degree"], {"table.tbl": MALFORMED["hex word of 2^80"]}))
 @example(case=(["analyze", "table.tbl", "--metrics", "degree"], {"table.tbl": FUZZ_DEEP}))
 @example(case=(["cost", "chi", "--n", "5", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": MALFORMED["GE of NaN"]}))
+@example(case=(["cost", "chi", "--n", "3", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_OVERFLOW}))
 def test_fuzzed_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, case):
     argv, documents = case
     root = tmp_path_factory.getbasetemp() / "fuzz"

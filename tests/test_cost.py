@@ -119,6 +119,13 @@ def test_ge_takes_any_finite_positive_decimal():
     assert libs["demo"] == {"NOT": Decimal("1e-999"), "XOR": Decimal("1e999")}
 
 
+def test_area_beyond_the_decimal_range_is_a_value_error():
+    # 9e999999 is a valid GE, but three of it exceed the decimal context's exponent range
+    libs = load_gate_libraries("gate,technology,ge\nXOR,t,9e999999\nAND,t,1\nNOT,t,1\n")
+    with pytest.raises(ValueError, match="area of chi at n=3 in library t overflows the decimal range"):
+        area_estimate("chi", 3, libs, "t")
+
+
 def test_na_marks_gate_unavailable():
     libs = load_gate_libraries("gate,technology,ge\nNOT,demo,0.5\nXOR,demo,0.5\nAND,demo,NA\n")
     assert libs["demo"] == {"NOT": Decimal("0.5"), "XOR": Decimal("0.5")}
