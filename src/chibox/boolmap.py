@@ -10,6 +10,7 @@ here.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -45,20 +46,13 @@ def dump_json(doc):
     return "%s%s]}\n" % (head, str(memoryview(cells.reshape(-1)[:-1]), "ascii"))
 
 
-_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-# the value of each byte as a lowercase hex digit, 16 for every other byte
-_NIBBLE = np.full(256, 16, dtype=np.uint8)
-_NIBBLE[_HEX_CHARS] = np.arange(16)
-
-
 def hex_digits(words, n):
-    """[len(words), ceil(n/4)] uint8 array of each word's lowercase hex digits, zero-padded."""
-    words = np.asarray(words, dtype=np.int64)
-    width = (n + 3) // 4
-    digits = np.empty((words.size, width), dtype=np.uint8)
-    for i in range(width):
-        digits[:, width - 1 - i] = _HEX_CHARS[(words >> (4 * i)) & 15]
-    return digits
+    """[len(words), ceil(n/4)] uint8 array of each word's lowercase hex digits, zero-padded.
+
+    Each word is below 2^MAX_N, so the last ceil(n/4) of its 8 hexlified big-endian uint32 digits hold it.
+    """
+    hexed = binascii.hexlify(np.asarray(words, dtype=">u4").tobytes())
+    return np.frombuffer(hexed, dtype=np.uint8).reshape(-1, 8)[:, 8 - (n + 3) // 4 :]
 
 
 def bits_of(word, n):
@@ -292,11 +286,11 @@ def table_to_json(f, family=""):
 def _read_dumped(text):
     """(head, entries) of a document whose entries array is as dump_json writes it, else None.
 
-    That array is the last field: 2^n quoted words of ceil(n/4) lowercase hex
-    digits, comma-separated, followed only by "}" and an optional newline.
-    The head, with the array emptied, goes through json; the words are read
-    from one uint8 array, one digit column at a time.  Each such word is
-    hex_digits of its value, so dump_json writes back the entries read here.
+    That array is the last field: 2^n quoted words of ceil(n/4) hex digits of
+    either case, comma-separated, followed only by "}" and an optional newline.
+    The head, with the array emptied, goes through json; the words, padded to 8
+    digits with "0", go through one binascii.unhexlify as big-endian uint32s.
+    A lowercase word is hex_digits of its value, so dump_json writes it back.
     """
     start = text.rfind('"entries":[') + len('"entries":[')
     if start < len('"entries":['):
@@ -316,14 +310,12 @@ def _read_dumped(text):
     quotes, commas = cells[:, [0, -2]], cells[:-1, -1]
     if not ((quotes == ord('"')).all() and (commas == ord(",")).all() and cells[-1, -1] == ord("]")):
         return None
-    words = np.zeros(1 << n, dtype=np.int64)
-    for col in range(1, width + 1):
-        nibbles = _NIBBLE[cells[:, col]]
-        if nibbles.max() > 15:
-            return None
-        words <<= 4
-        words |= nibbles
-    return doc, words
+    digits = np.full((1 << n, 8), ord("0"), dtype=np.uint8)
+    digits[:, 8 - width :] = cells[:, 1:-2]
+    try:
+        return doc, np.frombuffer(binascii.unhexlify(digits), dtype=">u4")
+    except binascii.Error:
+        return None
 
 
 def table_from_json(text):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Decimal, Inexact, InvalidOperation, Overflow, localcontext
 from importlib import resources
 
 GATE_KINDS = ("NOT", "AND", "OR", "NAND", "NOR", "XOR", "XNOR", "AND3", "NAND3", "XOR3")
@@ -89,13 +89,17 @@ def area_estimate(template, n, libs, technology):
         raise ValueError("unknown library %r (have: %s)" % (technology, ",".join(sorted(libs))))
     ge = libs[technology]
     total = Decimal(0)
-    for gates, scale in ((per_bit, n), (shared, 1)):
-        for kind, count in gates:
-            if kind not in ge:
-                raise GateUnavailableError("gate %s unavailable in library %s" % (kind, technology))
-            try:
-                total += ge[kind] * count * scale
-            except Overflow:
-                msg = "area of %s at n=%d in library %s overflows the decimal range"
-                raise ValueError(msg % (template, n, technology)) from None
+    with localcontext() as ctx:
+        ctx.traps[Inexact] = True  # an area the context would round is refused, never shown as exact
+        for gates, scale in ((per_bit, n), (shared, 1)):
+            for kind, count in gates:
+                if kind not in ge:
+                    raise GateUnavailableError("gate %s unavailable in library %s" % (kind, technology))
+                try:
+                    total += ge[kind] * count * scale
+                except Inexact as exc:
+                    why = "needs more than %d significant digits" % ctx.prec
+                    if isinstance(exc, Overflow):
+                        why = "overflows the decimal range"
+                    raise ValueError("area of %s at n=%d in library %s %s" % (template, n, technology, why)) from None
     return total

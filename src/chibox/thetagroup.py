@@ -6,7 +6,7 @@ sum a_k z^k makes composition of unit combinations the polynomial product in
 F_2[z]/(z^(ell+1)), so inverses, orders and iterates are closed-form; the
 coefficient vector is simultaneously the group element and the polynomial,
 no second representation exists.  Units are exactly the combinations with
-a_0 = 1.
+a_0 = 1; the group operations refuse an m that divides n.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def comb_degree(c):
 
 
 def _require_unit(c):
+    if c.n % c.m == 0:
+        raise ValueError("m must not divide n, got n=%d m=%d" % (c.n, c.m))
     if not c.is_unit():
         raise NonUnitError("constant coefficient a_0 must be 1 for group operations")
 

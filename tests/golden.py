@@ -351,6 +351,9 @@ _patch(("chi64", "dlct"), 24, 230)
 # one included, and the BCT is not invariant under EA-equivalence, which
 # keeps the DDT and Walsh rows, so nothing in the repo tells a wrong
 # published row from a make_cchi that is not the published cchi_8.
+# All four published cchi:8 rows are the spectra of concat(chi:3,chi:5),
+# chi_3 on the low 3 bits (tests/test_metrics.py builds it with the oracles
+# and checks it), while make_cchi(8) matches the other three published rows.
 # Criterion 3 fails on it until the published branch table settles that.
 # The published row is reproduced verbatim below.
 PUBLISHED[("cchi8", "boomerang")] = (

@@ -20,10 +20,10 @@ power theta_0 + theta_{m,2^j} materialized on all words at once,
 cycle_lengths walks the cycles of a permutation one word at a time, wht
 is the int32 butterfly that chibox.metrics._wht's matrix products replace,
 and hex_entries formats a table's entries one Python string at a time, the
-form chibox.boolmap.dump_json writes from one digit array.  table_from_json
-reads any table document through json.loads and int(h, 16) per entry, the
-reference for chibox.boolmap.table_from_json, which reads documents in
-dump_json's form from one byte array.  windowed, theta and cchi build the
+form chibox.boolmap.dump_json writes from one binascii.hexlify call.
+table_from_json reads any table document through json.loads and int(h, 16)
+per entry, the reference for chibox.boolmap.table_from_json, which reads
+documents in dump_json's layout with one binascii.unhexlify call.  windowed, theta and cchi build the
 family tables on full words, one rotated copy of x per window offset and one
 bit extraction per branch literal: the references for the half-word product
 terms of chibox.families.

@@ -9,7 +9,8 @@ tests/oracles.py and which also checks that each of those published rows
 still fails its identities.  The boomerang row of cchi:8 passes every
 identity yet differs from the BCT of make_cchi(8); nothing in the repo
 settles which is wrong, so criterion 3 fails on it with a per-value
-diagnostic.  Criterion 9 asserts the fixed-point law that holds at every
+diagnostic that names the source of the published cchi:8 rows, the
+spectra of chi_3 beside chi_5.  Criterion 9 asserts the fixed-point law that holds at every
 (n, m, k) with n <= 12; the claim it replaces fails at chi_{8,3} itself,
 which the test also asserts.
 """
@@ -124,6 +125,11 @@ def describe_row_mismatch(name, metric, got_head, got_row):
     )
     if not got_broken and not want_broken:
         lines.append("  no count identity tells the two rows apart")
+    if name == "cchi8":
+        lines.append(
+            "  all four published cchi:8 rows are the spectra of concat(chi:3,chi:5), chi_3 on the low 3 bits"
+            " (test_metrics.py::test_published_cchi8_rows_are_the_spectra_of_chi3_beside_chi5)"
+        )
     return "\n".join(lines)
 
 

@@ -382,7 +382,7 @@ def test_serialization_round_trip():
     assert all(len(h) == 1 for h in doc4["entries"])
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 18))
 def test_table_document_equals_the_reference_writer(n):
     # dump_json writes the entries from one digit array; the reference makes
     # one string per entry and lets json.dumps quote the family
@@ -421,15 +421,44 @@ def read_both(text):
     return got
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 18))
 def test_table_document_read_equals_the_reference_reader(n):
-    # every document dump_json writes is read from one byte array, not by json
+    # every document dump_json writes is read from one byte array, not by
+    # json, and so is the same layout with uppercase digits
     rng = np.random.default_rng(100 + n)
     for f in (random_permutation(rng, n), random_table(rng, n)):
         for family in FAMILIES:
             text = table_to_json(f, family)
-            assert boolmap._read_dumped(text) is not None
-            assert read_both(text) == (f, family)
+            cut = text.rindex("[")
+            for spelling in (text, text[:cut] + text[cut:].upper()):
+                assert boolmap._read_dumped(spelling) is not None
+                assert read_both(spelling) == (f, family)
+
+
+def test_table_document_at_n21_on_sampled_words():
+    # six-digit words; the one-object-per-entry references take seconds at
+    # 2^21 entries, so json reads the document and a seeded sample of its
+    # words is checked against the reference's formatting and parsing
+    n = 21
+    rng = np.random.default_rng(n)
+    f = random_table(rng, n)
+    text = table_to_json(f, "chi_nm:21:3")
+    doc = json.loads(text)
+    assert (doc["n"], doc["family"], len(doc["entries"])) == (n, "chi_nm:21:3", 1 << n)
+    words = rng.integers(0, 1 << n, size=4096)
+    assert [doc["entries"][u] for u in words] == ["%06x" % f[u] for u in words]
+    got, family = table_from_json(text)
+    assert family == "chi_nm:21:3"
+    assert [got[u] for u in words] == [int(doc["entries"][u], 16) for u in words]
+    assert got == f
+
+
+def test_table_document_round_trip_at_n24():
+    rng = np.random.default_rng(24)
+    f = random_table(rng, 24)
+    text = table_to_json(f)
+    assert boolmap._read_dumped(text) is not None
+    assert table_from_json(text) == (f, "")
 
 
 def variants(f, family):

@@ -541,6 +541,27 @@ MALFORMED = {
 
 # a well-formed gate CSV whose chi area at n = 3 exceeds the decimal range
 GE_OVERFLOW = b"gate,technology,ge\nXOR,t,9e999999\nAND,t,1\nNOT,t,1\n"
+# well-formed gate CSVs whose chi areas need more than the context's 28 digits:
+# 6 + 3e-999999 at n = 3, and 39930.740603574074060357407394910 at n = 12345
+GE_TINY = b"gate,technology,ge\nXOR,t,1e-999999\nAND,t,1\nNOT,t,1\n"
+GE_LONG = b"gate,technology,ge\nXOR,t,1.234567890123456789012345678\nAND,t,1\nNOT,t,1\n"
+
+
+@pytest.mark.parametrize(
+    "n, gates, why",
+    [
+        ("3", GE_OVERFLOW, "overflows the decimal range"),
+        ("3", GE_TINY, "needs more than 28 significant digits"),
+        ("12345", GE_LONG, "needs more than 28 significant digits"),
+    ],
+)
+def test_area_the_decimal_context_cannot_hold_exits_3(tmp_path, capsys, n, gates, why):
+    # an area that would be rounded is refused, not printed as exact
+    path = tmp_path / "gates.csv"
+    path.write_bytes(gates)
+    rc, out, err = run_cli(capsys, "cost", "chi", "--n", n, "--lib", "t", "--gates", str(path))
+    assert (rc, out) == (3, "")
+    assert err == "error: area of chi at n=%s in library t %s\n" % (n, why)
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -756,6 +777,8 @@ def _case(draw):
 @example(case=(["analyze", "table.tbl", "--metrics", "degree"], {"table.tbl": FUZZ_DEEP}))
 @example(case=(["cost", "chi", "--n", "5", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": MALFORMED["GE of NaN"]}))
 @example(case=(["cost", "chi", "--n", "3", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_OVERFLOW}))
+@example(case=(["cost", "chi", "--n", "3", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_TINY}))
+@example(case=(["cost", "chi", "--n", "12345", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_LONG}))
 def test_fuzzed_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, case):
     argv, documents = case
     root = tmp_path_factory.getbasetemp() / "fuzz"

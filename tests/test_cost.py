@@ -126,6 +126,20 @@ def test_area_beyond_the_decimal_range_is_a_value_error():
         area_estimate("chi", 3, libs, "t")
 
 
+@pytest.mark.parametrize("ge, n", [("1e-999999", 3), ("1.234567890123456789012345678", 12345)])
+def test_area_the_decimal_context_would_round_is_a_value_error(ge, n):
+    # the exact areas, 6 + 3e-999999 and 39930.740603574074060357407394910, need
+    # more than the context's 28 digits; their rounded sums are not areas
+    libs = load_gate_libraries("gate,technology,ge\nXOR,t,%s\nAND,t,1\nNOT,t,1\n" % ge)
+    with pytest.raises(ValueError, match="area of chi at n=%d in library t needs more than 28 significant digits" % n):
+        area_estimate("chi", n, libs, "t")
+
+
+def test_area_with_28_significant_digits_is_exact():
+    libs = load_gate_libraries("gate,technology,ge\nXOR,t,1.234567890123456789012345678\nAND,t,1\nNOT,t,1\n")
+    assert area_estimate("chi", 3, libs, "t") == Decimal("9.703703670370370367037037034")
+
+
 def test_na_marks_gate_unavailable():
     libs = load_gate_libraries("gate,technology,ge\nNOT,demo,0.5\nXOR,demo,0.5\nAND,demo,NA\n")
     assert libs["demo"] == {"NOT": Decimal("0.5"), "XOR": Decimal("0.5")}

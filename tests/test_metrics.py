@@ -89,6 +89,17 @@ def test_errata_are_the_refuted_published_rows():
         assert golden.broken_identities(name, metric, published) == list(erratum.breaks), key
 
 
+def test_published_cchi8_rows_are_the_spectra_of_chi3_beside_chi5():
+    # the source of the published cchi:8 rows: chi_3 on the low 3 bits beside
+    # chi_5 on the high 5, built on full words by the oracles and measured from
+    # the definitions, equals all four rows, boomerang and headlines included
+    low, high = oracles.windowed(3, [2], [1], linear=True), oracles.windowed(5, [2], [1], linear=True)
+    x = np.arange(1 << 8)
+    entries = low.entries[x & 7] | (high.entries[x >> 3] << 3)
+    for metric in SPECTRUM:
+        assert oracles.spectrum_row(metric, entries) == golden.PUBLISHED[("cchi8", metric)], metric
+
+
 def test_benchmarks_fix_zero():
     for name in golden.FUNCTIONS:
         assert build_named(name)[0] == 0

@@ -21,6 +21,7 @@ from chibox import (
     identity_table,
     invert,
     is_involution,
+    is_permutation,
     iterate,
     iterate_coeffs,
     make_chi_nm,
@@ -214,6 +215,26 @@ def test_non_unit_rejected():
     assert group_pow(z, 0).coeffs == (1, 0, 0)
     with pytest.raises(ValueError):
         group_mul(u, chi_comb(7, 3))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda c: group_mul(c, c),
+        lambda c: group_pow(c, 1),
+        group_inverse,
+        element_order,
+        is_involution,
+    ],
+    ids=["group_mul", "group_pow", "group_inverse", "element_order", "is_involution"],
+)
+def test_group_operations_refuse_m_dividing_n(op):
+    # G_{n,m} needs m not dividing n: chi_{8,2} is not even a permutation, so
+    # it has no inverse and no order, and the group operations give none
+    c = ThetaComb(8, 2, (1, 1, 0, 0, 0))
+    assert not is_permutation(comb_to_table(c))[0]
+    with pytest.raises(ValueError, match="m must not divide n, got n=8 m=2"):
+        op(c)
 
 
 def test_predicate_matches_enumeration():
