@@ -5,7 +5,7 @@ The package is organized as:
   boolmap     truth tables and the mapping algebra (+, compose),
               permutation machinery, the cycles report, ANF and degrees
   families    constructors for chi, chi_{n,m}, theta_{m,k}, chi'_{n,3},
-              cchi and block concatenation
+              cchi, theta combinations and block concatenation
   thetagroup  coefficient-vector algebra of the unit group G_{n,m}
   metrics     differential, Walsh, boomerang and DLCT spectra, each
               returned as the report document chibox analyze prints
@@ -50,6 +50,7 @@ from .families import (
     make_chi,
     make_chi_nm,
     make_chi_prime3,
+    make_comb,
     make_concat,
     make_theta,
     parse_family,
@@ -71,7 +72,6 @@ from .thetagroup import (
     bitstring,
     chi_comb,
     comb_degree,
-    comb_from_bitstring,
     comb_to_table,
     element_order,
     group_inverse,

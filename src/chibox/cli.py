@@ -176,44 +176,42 @@ def _check_m(n, m):
 
 def cmd_group(args):
     _check_m(args.n, args.m)
-    comb = thetagroup.comb_from_bitstring(args.n, args.m, args.coeffs)
-    query = args.query
+    comb = thetagroup.ThetaComb(args.n, args.m, args.coeffs)
     doc = {
         "command": "group",
-        "query": query,
+        "query": args.query,
         "n": args.n,
         "m": args.m,
         "coeffs": thetagroup.bitstring(comb),
     }
-    if query == "materialize":
-        table = thetagroup.comb_to_table(comb)
-        family = "comb:%d:%d:%s" % (args.n, args.m, thetagroup.bitstring(comb))
-        ok, _ = boolmap.is_permutation(table)
-        doc["permutation"] = ok
+    if args.query == "materialize":
+        fs = families.FamilySpec("comb", n=args.n, m=args.m, coeffs=doc["coeffs"])
+        table, family = families.build(fs), families.spec_string(fs)
+        doc["permutation"], _ = boolmap.is_permutation(table)
         doc["entries"] = table
-        text = "family: %s\nn: %d\npermutation: %s\n" % (family, table.n, "true" if ok else "false")
+        text = "family: %s\nn: %d\npermutation: %s\n" % (family, table.n, "true" if doc["permutation"] else "false")
         return doc, text, (table, family)
-    if query == "inverse":
+    if args.query == "inverse":
         inv = thetagroup.group_inverse(comb)
         doc["inverse"] = thetagroup.bitstring(inv)
         doc["degree"] = thetagroup.comb_degree(inv)
         text = "inverse: %s\ndegree: %d\n" % (doc["inverse"], doc["degree"])
-    elif query == "order":
+    elif args.query == "order":
         doc["order"] = thetagroup.element_order(comb)
         text = "order: %d\n" % doc["order"]
-    elif query == "involution":
+    elif args.query == "involution":
         doc["involution"] = thetagroup.is_involution(comb)
         text = "involution: %s\n" % ("true" if doc["involution"] else "false")
-    elif query.startswith("iterate:"):
+    elif args.query.startswith("iterate:"):
         try:
-            k = int(query.split(":", 1)[1])
+            k = int(args.query.split(":", 1)[1])
         except ValueError:
-            raise UsageError("iterate needs an integer power, got %r" % (query,)) from None
+            raise UsageError("iterate needs an integer power, got %r" % (args.query,)) from None
         doc["power"] = k
         doc["iterate"] = thetagroup.bitstring(thetagroup.group_pow(comb, k))
         text = "iterate %d: %s\n" % (k, doc["iterate"])
     else:
-        raise UsageError("unknown group query %r" % (query,))
+        raise UsageError("unknown group query %r" % (args.query,))
     return doc, text, None
 
 
@@ -280,7 +278,8 @@ def _build_parser():
         p.add_argument("-o", "--output", default=None, metavar="PATH")
 
     p = sub.add_parser("construct", help="build a family member and serialize it")
-    p.add_argument("spec", help="family spec, e.g. chi:5 or chi_nm:8:3 or concat(chi:3,chi:3)")
+    p.add_argument("spec", help="family spec, e.g. chi:5, chi_nm:8:3, theta:8:3:2, chi_prime3:7, cchi:8, "
+                   "comb:8:3:101 (a_0 first) or concat(chi:3,chi:3)")
     common(p)
     p.set_defaults(func=cmd_construct)
 

@@ -88,6 +88,27 @@ def make_theta(n, m, k):
     return _table(n, [_theta(n, m, k)])
 
 
+def comb_coeffs(n, m, coeffs):
+    """Bits (a_0, ..., a_ell), ell = n // m, of sum a_k theta_{m,k}, checked; coeffs is bits or a_0 first text."""
+    if n < 1:
+        raise ValueError("n must be positive, got %r" % (n,))
+    if m < 2:
+        raise ValueError("m must be at least 2, got %r" % (m,))
+    if isinstance(coeffs, str) and (not coeffs or any(ch not in "01" for ch in coeffs)):
+        raise ValueError("coefficient string must be nonempty over {0,1}, got %r" % (coeffs,))
+    bits = tuple(int(c) for c in coeffs)
+    if len(bits) != n // m + 1:
+        raise ValueError("coeffs must have ell+1 = %d bits for n=%d m=%d, got %d" % (n // m + 1, n, m, len(bits)))
+    if any(c not in (0, 1) for c in bits):
+        raise ValueError("coefficients must be bits")
+    return bits
+
+
+def make_comb(n, m, coeffs):
+    """sum a_k theta_{m,k}, theta_{m,0} the identity; as for chi_nm, m | n or a_0 = 0 gives a non-permutation."""
+    return _table(n, (_theta(n, m, k) for k, a in enumerate(comb_coeffs(n, m, coeffs)) if a))
+
+
 def make_chi_prime3(n):
     """chi'_{n,3}: y_i = x_i + x_{i+1} x_{i+2} (x_{i+3} + 1)."""
     if n < 4:
@@ -142,15 +163,16 @@ def make_concat(parts):
 class FamilySpec:
     """Parsed form of a family spec string.
 
-    family is one of chi, chi_nm, theta, chi_prime3, cchi, concat; n is the
-    dimension (for concat, the sum over parts); m and k apply to chi_nm and
-    theta; parts is the tuple of sub-specs for concat.
+    family is a FAMILIES key or concat; n is the dimension (for concat, the
+    sum over parts); m, k and coeffs are the other fields FAMILIES names, as
+    in comb:<n>:<m>:<a_0...a_ell>; parts is the tuple of sub-specs for concat.
     """
 
     family: str
     n: int = 0
     m: int = 0
     k: int = 0
+    coeffs: str = ""
     parts: tuple = field(default_factory=tuple)
 
 
@@ -182,6 +204,7 @@ FAMILIES = {
     "theta": (make_theta, ("n", "m", "k")),
     "chi_prime3": (make_chi_prime3, ("n",)),
     "cchi": (make_cchi, ("n",)),
+    "comb": (make_comb, ("n", "m", "coeffs")),
 }
 
 
@@ -195,7 +218,7 @@ def parse_family(text):
     """Parse a spec string per the grammar.
 
     chi:<n>  chi_nm:<n>:<m>  theta:<n>:<m>:<k>  chi_prime3:<n>  cchi:<n>
-    concat(<spec>,<spec>,...)
+    comb:<n>:<m>:<a_0...a_ell>  concat(<spec>,<spec>,...)
 
     concat nests at most MAX_N deep: a table has at most MAX_N bits, so any
     deeper nesting only wraps single parts.
@@ -211,8 +234,8 @@ def parse_family(text):
         return FamilySpec("concat", n=sum(p.n for p in parts), parts=parts)
     head, _, rest = text.partition(":")
     args = rest.split(":") if rest else []
-    if head in FAMILIES and len(args) == len(FAMILIES[head][1]):
-        return FamilySpec(head, **{name: _int_field(a, name) for name, a in zip(FAMILIES[head][1], args)})
+    if head in FAMILIES and len(args) == len(names := FAMILIES[head][1]):
+        return FamilySpec(head, **{k: a if k == "coeffs" else _int_field(a, k) for k, a in zip(names, args)})
     raise FamilyParseError("unrecognized family spec %r" % (text,))
 
 
@@ -220,7 +243,7 @@ def spec_string(fs):
     """Canonical spec string for a FamilySpec, inverse of parse_family."""
     if fs.family == "concat":
         return "concat(%s)" % ",".join(spec_string(p) for p in fs.parts)
-    return ":".join([fs.family] + ["%d" % v for v in _fields(fs)])
+    return ":".join([fs.family] + ["%s" % v for v in _fields(fs)])
 
 
 def build(fs):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolmap import _power, fixed_points
-from .families import _table, _theta
+from .families import comb_coeffs, make_comb
 
 
 class NonUnitError(ValueError):
@@ -23,27 +23,14 @@ class NonUnitError(ValueError):
 
 @dataclass(frozen=True)
 class ThetaComb:
-    """Coefficient vector (a_0, ..., a_ell) of sum a_k theta_{m,k} on F_2^n."""
+    """Coefficient vector (a_0, ..., a_ell) of sum a_k theta_{m,k} on F_2^n, from bits or a_0 first text."""
 
     n: int
     m: int
     coeffs: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive, got %r" % (self.n,))
-        if self.m < 2:
-            raise ValueError("m must be at least 2, got %r" % (self.m,))
-        ell = self.n // self.m
-        coeffs = tuple(int(c) for c in self.coeffs)
-        if len(coeffs) != ell + 1:
-            raise ValueError(
-                "coeffs must have ell+1 = %d bits for n=%d m=%d, got %d"
-                % (ell + 1, self.n, self.m, len(coeffs))
-            )
-        if any(c not in (0, 1) for c in coeffs):
-            raise ValueError("coefficients must be bits")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", comb_coeffs(self.n, self.m, self.coeffs))
 
     @property
     def ell(self):
@@ -65,13 +52,6 @@ def chi_comb(n, m):
     return ThetaComb(n, m, (1, 1) + (0,) * (ell - 1))
 
 
-def comb_from_bitstring(n, m, text):
-    """Parse a coefficient bitstring written lowest index first (a_0 first)."""
-    if not text or any(ch not in "01" for ch in text):
-        raise ValueError("coefficient string must be nonempty over {0,1}, got %r" % (text,))
-    return ThetaComb(n, m, tuple(int(ch) for ch in text))
-
-
 def bitstring(c):
     return "".join(str(b) for b in c.coeffs)
 
@@ -82,8 +62,8 @@ def order_exponent(n, m):
 
 
 def comb_to_table(c):
-    """Materialize the combination: one table of the theta terms with a_k = 1, theta_{m,0} the identity."""
-    return _table(c.n, (_theta(c.n, c.m, k) for k, a in enumerate(c.coeffs) if a))
+    """Materialize the combination through families.make_comb."""
+    return make_comb(c.n, c.m, c.coeffs)
 
 
 def comb_degree(c):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import chibox
-from chibox import TruthTable, iterate, make_chi_nm, table_from_json, table_to_json
+from chibox import TruthTable, iterate, make_chi_nm, parse_family, spec_string, table_from_json, table_to_json
 from chibox.boolmap import dump_json
 from chibox.cli import main
 
@@ -237,10 +237,75 @@ def test_group_materialize(tmp_path, capsys):
     assert table == iterate(make_chi_nm(8, 3), 2)
 
 
+@pytest.mark.parametrize("n, m, coeffs", [(8, 3, "101"), (7, 3, "111"), (7, 2, "1011"), (5, 2, "011"), (1, 2, "1")])
+def test_group_materialize_label_is_a_spec_construct_reads(capsys, n, m, coeffs):
+    # the label materialize writes parses back to itself, and construct
+    # prints the same first lines for it
+    rc, out, _ = run_cli(capsys, "group", "--n", str(n), "--m", str(m), "--coeffs", coeffs, "materialize")
+    assert rc == 0
+    label = out.splitlines()[0].removeprefix("family: ")
+    assert label == "comb:%d:%d:%s" % (n, m, coeffs)
+    assert spec_string(parse_family(label)) == label
+    rc, by_spec, err = run_cli(capsys, "construct", label)
+    assert rc == 0 and err == "" and by_spec.startswith(out)
+
+
+def test_construct_comb_writes_the_bytes_of_group_materialize(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for fmt in ("text", "structured"):
+        assert run_cli(capsys, "construct", "comb:8:3:101", "--format", fmt, "-o", str(a))[0] == 0
+        argv = ("group", "--n", "8", "--m", "3", "--coeffs", "101", "materialize", "--format", fmt, "-o", str(b))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_construct_non_unit_comb_reports_the_collision(capsys):
+    rc, out, err = run_cli(capsys, "construct", "comb:7:3:011")
+    assert rc == 0 and err == ""
+    assert out == (
+        "family: comb:7:3:011\nn: 7\npermutation: false\n"
+        "collision: 0000000 and 1101010 both map to 0000000\ndegree: 5\n"
+    )
+    # theta_{3,1} + theta_{3,2} from the rotated-word reference, x0 the first bit
+    table = oracles.theta(7, 3, 1).entries ^ oracles.theta(7, 3, 2).entries
+    assert table[0b0101011] == table[0] == 0
+
+
+def test_analyze_comb_spec_equals_its_materialized_document(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    assert run_cli(capsys, "group", "--n", "7", "--m", "3", "--coeffs", "111", "materialize", "-o", str(path))[0] == 0
+    metrics = "ddt,walsh,bct,dlct,degree,cycles"
+    for fmt in ("text", "structured"):
+        by_spec = run_cli(capsys, "analyze", "comb:7:3:111", "--metrics", metrics, "--format", fmt)
+        assert by_spec[0] == 0
+        assert by_spec == run_cli(capsys, "analyze", str(path), "--metrics", metrics, "--format", fmt)
+
+
+@pytest.mark.parametrize(
+    "spec, rc, err",
+    [
+        ("comb:7:0:1", 3, "error: m must be at least 2, got 0\n"),
+        ("comb:30:3:11111111111", 3, "error: dimension n must be an integer in 1..24, got 30\n"),
+        ("comb:0:3:1", 3, "error: n must be positive, got 0\n"),
+        ("comb:7:3:", 3, "error: coefficient string must be nonempty over {0,1}, got ''\n"),
+        ("comb:7:3:\u0661\u0661\u0661", 3, "error: coefficient string must be nonempty over {0,1}, got '\u0661\u0661\u0661'\n"),
+        ("comb:7:3", 2, "error: unrecognized family spec 'comb:7:3'\n"),
+        ("comb:7:x:111", 2, "error: m must be an integer, got 'x'\n"),
+    ],
+)
+def test_comb_spec_errors_are_one_line_before_any_term_is_built(capsys, monkeypatch, spec, rc, err):
+    def no_terms(*args):
+        raise AssertionError("a theta term was built")
+
+    monkeypatch.setattr(chibox.families, "_theta", no_terms)
+    assert run_cli(capsys, "construct", spec) == (rc, "", err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("construct", "chi_nm:8:3"),
+        ("construct", "comb:8:3:101"),
         ("group", "--n", "8", "--m", "3", "--coeffs", "101", "materialize"),
         ("group", "--n", "1", "--m", "2", "--coeffs", "1", "materialize"),
         ("construct", "chi_nm:5:3"),
@@ -658,6 +723,18 @@ FUZZ_INT = _mostly(st.sampled_from(["5", "8", "3", "7", "4", "6", "9", "10", "2"
 FUZZ_SMALL = _mostly(st.sampled_from(["3", "2", "4", "5"]), FUZZ_EDGE)
 
 
+def _coeff_bits(n, m):
+    """Mostly the ell + 1 bits a valid n and m ask for (ell capped at 5), else junk or a wrong length."""
+    try:
+        ell = max(0, min(int(n) // int(m), 5))
+    except (ValueError, ZeroDivisionError):
+        ell = 0
+    return _mostly(
+        st.text(alphabet="01", min_size=ell + 1, max_size=ell + 1),
+        st.one_of(st.sampled_from(["", "1x", "\u0661"]), st.text(alphabet="01x", max_size=8)),
+    )
+
+
 def _family_specs(n):
     return _mostly(
         st.one_of(
@@ -666,6 +743,7 @@ def _family_specs(n):
             st.builds("theta:{}:{}:{}".format, n, FUZZ_SMALL, FUZZ_SMALL),
             st.builds("chi_prime3:{}".format, n),
             st.builds("cchi:{}".format, n),
+            st.tuples(n, FUZZ_SMALL).flatmap(lambda nm: _coeff_bits(*nm).map(lambda bits: "comb:%s:%s:%s" % (*nm, bits))),
         ),
         st.sampled_from(["", "bogus:5", "chi", "chi:5:2", "concat()", "concat(chi:3", "concat((chi:3)", "concat(chi:3))"]),
     )
@@ -742,13 +820,7 @@ def _case(draw):
         argv = [command, target, "--metrics", draw(FUZZ_METRICS)]
     elif command == "group":
         n, m = draw(FUZZ_INT), draw(FUZZ_SMALL)
-        # mostly ell + 1 coefficients, the length a valid n and m ask for
-        try:
-            ell = max(0, min(int(n) // int(m), 5))
-        except (ValueError, ZeroDivisionError):
-            ell = 0
-        coeffs = _mostly(st.text(alphabet="01", min_size=ell + 1, max_size=ell + 1), st.text(alphabet="01x", max_size=5))
-        argv = [command, "--n", n, "--m", m, "--coeffs", draw(coeffs), draw(FUZZ_QUERY)]
+        argv = [command, "--n", n, "--m", m, "--coeffs", draw(_coeff_bits(n, m)), draw(FUZZ_QUERY)]
     elif command == "fixed-points":
         argv = [command, "--n", draw(FUZZ_INT), "--m", draw(FUZZ_SMALL), "--power", draw(FUZZ_SMALL)]
     else:
@@ -779,6 +851,8 @@ def _case(draw):
 @example(case=(["cost", "chi", "--n", "3", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_OVERFLOW}))
 @example(case=(["cost", "chi", "--n", "3", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_TINY}))
 @example(case=(["cost", "chi", "--n", "12345", "--lib", "t", "--gates", "gates.csv"], {"gates.csv": GE_LONG}))
+@example(case=(["construct", "comb:7:0:1"], {}))  # m is checked before n // m
+@example(case=(["construct", "comb:30:3:11111111111"], {}))  # the n cap, before any term
 def test_fuzzed_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, case):
     argv, documents = case
     root = tmp_path_factory.getbasetemp() / "fuzz"

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,6 @@ from chibox import (
     ThetaComb,
     TruthTable,
     build,
-    comb_from_bitstring,
     comb_to_table,
     compose,
     identity_table,
@@ -25,7 +27,10 @@ from chibox import (
     pointwise_add,
     spec_string,
     table_degree,
+    thetagroup,
 )
+from chibox.cli import main
+from chibox.families import FAMILIES
 
 import golden
 import oracles
@@ -153,9 +158,10 @@ def test_tables_match_the_full_word_references():
     [
         lambda: make_chi_nm(16, 3),
         lambda: make_cchi(16),
-        lambda: comb_to_table(comb_from_bitstring(16, 3, "111111")),
+        lambda: comb_to_table(ThetaComb(16, 3, "111111")),
+        lambda: build(parse_family("comb:16:3:111111")),
     ],
-    ids=["chi_nm:16:3", "cchi:16", "comb:16:3:111111"],
+    ids=["chi_nm:16:3", "cchi:16", "comb:16:3:111111", "build comb:16:3:111111"],
 )
 def test_build_peak_memory(make):
     # the output plus either one term's outer AND or the table's own copy; no full-word scratch
@@ -238,19 +244,24 @@ def test_concat_assembles_parts_in_spec_order():
 
 
 def test_parse_round_trip():
-    for text in (
+    texts = (
         "chi:5",
         "chi_nm:8:3",
         "theta:8:3:2",
         "chi_prime3:7",
         "cchi:8",
+        "comb:7:3:111",
+        "comb:8:3:011",
         "concat(chi:3,chi:3)",
+        "concat(comb:5:2:101,chi:3)",
         "concat(chi:3,concat(chi:4,chi_nm:5:3))",
         "concat(" * 24 + "chi:3" + ")" * 24,
-    ):
+    )
+    for text in texts:
         fs = parse_family(text)
         assert spec_string(fs) == text
         build(fs)
+    assert {parse_family(text).family for text in texts} == set(FAMILIES) | {"concat"}
 
 
 def test_parse_matches_direct_constructors():
@@ -259,6 +270,7 @@ def test_parse_matches_direct_constructors():
     assert build(parse_family("theta:8:3:1")) == make_theta(8, 3, 1)
     assert build(parse_family("chi_prime3:6")) == make_chi_prime3(6)
     assert build(parse_family("cchi:8")) == make_cchi(8)
+    assert build(parse_family("comb:8:3:101")) == pointwise_add(make_theta(8, 3, 0), make_theta(8, 3, 2))
     assert build(parse_family("concat(chi:3,chi:3)")) == make_concat([make_chi(3), make_chi(3)])
 
 
@@ -275,10 +287,42 @@ def test_parse_errors():
         "concat(chi:3,)",
         "chi:5 trailing",
         "theta:8:3",
+        "comb:7:3",
+        "comb:7:3:1:1",
+        "comb:x:3:1",
         "concat(" * 25 + "chi:3" + ")" * 25,
     ):
         with pytest.raises(FamilyParseError):
             parse_family(text)
+
+
+@pytest.mark.parametrize("n, m, coeffs", [(7, 3, "11"), (7, 1, "1111"), (7, 3, "1x1")])
+def test_comb_build_errors_are_the_messages_group_prints(capsys, n, m, coeffs):
+    spec = "comb:%d:%d:%s" % (n, m, coeffs)
+    with pytest.raises(ValueError) as exc:
+        build(parse_family(spec))
+    assert not isinstance(exc.value, FamilyParseError)
+    err = "error: %s\n" % exc.value
+    assert main(["construct", spec]) == 3 and capsys.readouterr().err == err
+    assert main(["group", "--n", str(n), "--m", str(m), "--coeffs", coeffs, "order"]) == 3
+    assert capsys.readouterr().err == err
+
+
+def test_every_family_is_documented_and_thetagroup_uses_no_private_family_name(capsys):
+    with pytest.raises(SystemExit):
+        main(["construct", "-h"])
+    help_text = capsys.readouterr().out
+    for key in FAMILIES:
+        label = re.compile(r"(?<![\w])%s:" % re.escape(key))
+        assert label.search(parse_family.__doc__), key
+        assert label.search(help_text), key
+    private = []
+    for node in ast.walk(ast.parse(inspect.getsource(thetagroup))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("families"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "families":
+            private += [node.attr] if node.attr.startswith("_") else []
+    assert not private
 
 
 def test_build_rejects_out_of_range_parameters():

@@ -9,7 +9,6 @@ from chibox import (
     bitstring,
     chi_comb,
     comb_degree,
-    comb_from_bitstring,
     comb_to_table,
     compose,
     element_order,
@@ -54,7 +53,7 @@ def test_comb_construction_and_validation():
     assert c.ell == 2
     assert c.is_unit()
     assert bitstring(c) == "110"
-    assert comb_from_bitstring(8, 3, "110").coeffs == (1, 1, 0)
+    assert ThetaComb(8, 3, "110") == c
     with pytest.raises(ValueError):
         ThetaComb(8, 3, (1, 1))
     with pytest.raises(ValueError):
@@ -62,7 +61,7 @@ def test_comb_construction_and_validation():
     with pytest.raises(ValueError):
         ThetaComb(8, 1, (1, 1))
     with pytest.raises(ValueError):
-        comb_from_bitstring(8, 3, "1x0")
+        ThetaComb(8, 3, "1x0")
     assert not ThetaComb(8, 3, (0, 1, 0)).is_unit()
 
 
