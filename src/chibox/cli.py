@@ -121,11 +121,14 @@ def cmd_construct(args):
 
 
 def _metric_reports(table, selected):
-    """(document, text line) of every selected metric, in METRIC_ORDER."""
-    reports = []
-    for name in METRIC_ORDER:
-        if name not in selected:
-            continue
+    """(document, text line) of every selected metric, in METRIC_ORDER.
+
+    dlct is computed first: its pass over the DDT blocks also finishes the
+    ddt report, which differential_spectrum then hands back.
+    """
+    order = [name for name in METRIC_ORDER if name in selected]
+    reports = {}
+    for name in sorted(order, key=lambda name: name != "dlct"):
         if name in SPECTRUM_FOR:
             rep = SPECTRUM_FOR[name](table)
             label = HEADLINE_LABEL[rep["metric"]]
@@ -142,8 +145,8 @@ def _metric_reports(table, selected):
                 rep["fixed_point_count"],
                 lengths,
             )
-        reports.append((rep, text))
-    return reports
+        reports[name] = (rep, text)
+    return [reports[name] for name in order]
 
 
 def cmd_analyze(args):
@@ -165,17 +168,8 @@ def cmd_analyze(args):
     return doc, "\n".join(lines) + "\n", None
 
 
-def _check_m(n, m):
-    if n < 1:
-        raise ValueError("n must be positive, got %d" % n)
-    if m < 2:
-        raise ValueError("m must be at least 2, got %d" % m)
-    if n % m == 0:
-        raise ValueError("m must not divide n, got n=%d m=%d" % (n, m))
-
-
 def cmd_group(args):
-    _check_m(args.n, args.m)
+    thetagroup.check_group(args.n, args.m)
     comb = thetagroup.ThetaComb(args.n, args.m, args.coeffs)
     doc = {
         "command": "group",
@@ -217,7 +211,7 @@ def cmd_group(args):
 
 def cmd_fixed_points(args):
     k = args.power
-    _check_m(args.n, args.m)
+    thetagroup.check_group(args.n, args.m)
     if k < 0:
         raise ValueError("power must be non-negative")
     points = boolmap.fixed_points(boolmap.iterate(families.make_chi_nm(args.n, args.m), k))

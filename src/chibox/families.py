@@ -88,12 +88,17 @@ def make_theta(n, m, k):
     return _table(n, [_theta(n, m, k)])
 
 
-def comb_coeffs(n, m, coeffs):
-    """Bits (a_0, ..., a_ell), ell = n // m, of sum a_k theta_{m,k}, checked; coeffs is bits or a_0 first text."""
+def check_nm(n, m):
+    """Raise ValueError unless n >= 1 and m >= 2, the widths every theta combination needs."""
     if n < 1:
         raise ValueError("n must be positive, got %r" % (n,))
     if m < 2:
         raise ValueError("m must be at least 2, got %r" % (m,))
+
+
+def comb_coeffs(n, m, coeffs):
+    """Bits (a_0, ..., a_ell), ell = n // m, of sum a_k theta_{m,k}, checked; coeffs is bits or a_0 first text."""
+    check_nm(n, m)
     if isinstance(coeffs, str) and (not coeffs or any(ch not in "01" for ch in coeffs)):
         raise ValueError("coefficient string must be nonempty over {0,1}, got %r" % (coeffs,))
     bits = tuple(int(c) for c in coeffs)

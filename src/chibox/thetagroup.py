@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolmap import _power, fixed_points
-from .families import comb_coeffs, make_comb
+from .families import check_nm, comb_coeffs, make_comb
 
 
 class NonUnitError(ValueError):
@@ -77,9 +77,15 @@ def comb_degree(c):
     return None if top is None else (c.m - 1) * top + 1
 
 
+def check_group(n, m):
+    """Raise ValueError unless G_{n,m} is defined: n >= 1, m >= 2 and m does not divide n."""
+    check_nm(n, m)
+    if n % m == 0:
+        raise ValueError("m must not divide n, got n=%d m=%d" % (n, m))
+
+
 def _require_unit(c):
-    if c.n % c.m == 0:
-        raise ValueError("m must not divide n, got n=%d m=%d" % (c.n, c.m))
+    check_group(c.n, c.m)
     if not c.is_unit():
         raise NonUnitError("constant coefficient a_0 must be 1 for group operations")
 

@@ -708,6 +708,25 @@ def test_domain_errors_name_the_bad_argument(capsys, argv, err):
     assert run_cli(capsys, *argv) == (3, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("group", "--n", "0", "--m", "0", "--coeffs", "x", "order"), "n must be positive, got 0"),
+        (("group", "--n", "6", "--m", "1", "--coeffs", "x", "order"), "m must be at least 2, got 1"),
+        (("group", "--n", "6", "--m", "3", "--coeffs", "2", "order"), "m must not divide n, got n=6 m=3"),
+        (("group", "--n", "6", "--m", "3", "--coeffs", "1", "materialize"), "m must not divide n, got n=6 m=3"),
+        (("group", "--n", "7", "--m", "3", "--coeffs", "2", "order"),
+         "coefficient string must be nonempty over {0,1}, got '2'"),
+        (("fixed-points", "--n", "0", "--m", "1", "--power", "-1"), "n must be positive, got 0"),
+        (("fixed-points", "--n", "6", "--m", "1", "--power", "-1"), "m must be at least 2, got 1"),
+        (("fixed-points", "--n", "6", "--m", "3", "--power", "-1"), "m must not divide n, got n=6 m=3"),
+    ],
+)
+def test_group_parameters_fail_in_one_order(capsys, argv, err):
+    # n, then m, then m dividing n, all before the coefficients and the power
+    assert run_cli(capsys, *argv) == (3, "", "error: %s\n" % err)
+
+
 def _mostly(valid, junk):
     # one draw in four from junk; hypothesis favours the least integer, so it
     # selects valid

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -308,17 +309,137 @@ def test_spectra_check_their_count_identities(monkeypatch, capsys):
         differential_spectrum(f)
 
 
+def test_dlct_pass_checks_its_ddt_and_parseval_link(monkeypatch):
+    # moving 2 between two transform entries of one row keeps every DLCT
+    # count and sum, so only the link 4 sum DLCT^2 = 2^n sum delta^2 sees it
+    wht, ddt_block = metrics._wht, metrics._ddt_block
+
+    def moved(block):
+        out = wht(block)
+        out[0, 1] += 2
+        out[0, 2] -= 2
+        return out
+
+    f = make_chi(5)
+    monkeypatch.setattr(metrics, "_wht", moved)
+    with pytest.raises(RuntimeError, match=r"^dlct spectrum of n=5 fails its count identity: sum v\^2 c"):
+        dlct_spectrum(f)
+    # a wrong DDT block fails the DDT's own identity inside the DLCT's pass
+    monkeypatch.setattr(metrics, "_wht", wht)
+
+    def wrong(*args):
+        out = ddt_block(*args)
+        out.flat[1] += 2
+        return out
+
+    monkeypatch.setattr(metrics, "_ddt_block", wrong)
+    with pytest.raises(RuntimeError, match="^differential spectrum of n=5 fails its count identity"):
+        dlct_spectrum(f)
+
+
+def test_boomerang_columns_check_their_count_identity(monkeypatch, capsys):
+    # one wrong boomerang entry breaks sum_(a != 0) beta(a,b) = sum_a
+    # delta(a,b)^2 - 2^n in its column and ends in an internal error
+    block = metrics._boomerang_block
+
+    def wrong(*args):
+        beta, squares = block(*args)
+        beta[-1, 1] += 2
+        return beta, squares
+
+    monkeypatch.setattr(metrics, "_boomerang_block", wrong)
+    pattern = r"^boomerang spectrum of n=5 fails its count identity: sum_\(a != 0\) beta\(a,\d+\) = "
+    with pytest.raises(RuntimeError, match=pattern):
+        boomerang_spectrum(make_chi(5))
+    assert cli.main(["analyze", "chi:5", "--metrics", "bct"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error: boomerang spectrum of n=5 fails its count identity")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _table(spec):
+    if spec.startswith("random:"):
+        n = int(spec.split(":")[1])
+        return TruthTable(n, np.random.default_rng(100 + n).permutation(1 << n))
+    return build(parse_family(spec))
+
+
+SHARED_PASS_MAPS = ["random:%d" % n for n in range(1, 10)] + ["cchi:8", "chi_nm:9:4", "chi_nm:6:3"]
+
+
+@pytest.mark.parametrize("spec", SHARED_PASS_MAPS)
+def test_reports_do_not_depend_on_the_metrics_asked_with_them(spec):
+    # dlct runs first and hands its DDT report to ddt: each report is the
+    # same bytes alone, beside the other of the two, and among all four
+    spectra = ["ddt", "walsh", "dlct"] + (["bct"] if is_permutation(_table(spec))[0] else [])
+    alone = {}
+    for name in spectra:
+        [(rep, text)] = cli._metric_reports(_table(spec), {name})
+        alone[name] = (dump_json(rep), text)
+    for selected in ({"ddt", "dlct"}, set(spectra)):
+        reports = cli._metric_reports(_table(spec), selected)
+        assert [(dump_json(rep), text) for rep, text in reports] == [alone[s] for s in cli.METRIC_ORDER if s in selected]
+    f = _table(spec)
+    assert dlct_spectrum(f) == dlct_spectrum(_table(spec))
+    assert differential_spectrum(f) == differential_spectrum(_table(spec))
+
+
+def test_ddt_report_is_handed_over_once_and_only_to_its_table(monkeypatch):
+    calls = []
+    ddt_block = metrics._ddt_block
+    monkeypatch.setattr(metrics, "_ddt_block", lambda *args: calls.append(1) or ddt_block(*args))
+    rng = np.random.default_rng(7)
+    a, b = (TruthTable(8, rng.permutation(1 << 8)) for _ in range(2))
+    twin = TruthTable(8, a.entries)
+    assert twin == a
+    want_a, want_b = oracles.spectrum_row("differential", a.entries), oracles.spectrum_row("differential", b.entries)
+    dlct_spectrum(a)
+    calls.clear()
+    # a table of the same n but other entries gets its own DDT
+    rep = differential_spectrum(b)
+    assert (rep["headline"], dict(rep["spectrum"])) == want_b
+    assert calls
+    # an equal table is not the same object: it is built again
+    dlct_spectrum(a)
+    calls.clear()
+    rep = differential_spectrum(twin)
+    assert (rep["headline"], dict(rep["spectrum"])) == want_a and calls
+    # the table the pass ran on gets its report without a block, once
+    dlct_spectrum(a)
+    calls.clear()
+    rep = differential_spectrum(a)
+    assert (rep["headline"], dict(rep["spectrum"])) == want_a and not calls
+    differential_spectrum(a)
+    assert calls
+
+
+def test_ddt_report_holder_keeps_no_table_alive():
+    f = TruthTable(9, np.random.default_rng(9).permutation(1 << 9))
+    ref = weakref.ref(f)
+    dlct_spectrum(f)
+    del f
+    assert ref() is None
+    # the report held for it goes to no other table
+    g = make_chi(9)
+    assert differential_spectrum(g) == differential_spectrum(make_chi(9))
+
+
 def test_boomerang_requires_permutation():
     with pytest.raises(NotAPermutation):
         boomerang_spectrum(make_chi_nm(6, 3))
 
 
 def _bct(f):
-    # every column b != 0, not only the orbit representatives
+    # every column b != 0, not only the orbit representatives, in blocks of
+    # columns of the height boomerang_spectrum gives them, _BLOCK / 4 cells
     inv = invert(f).entries
-    table = np.zeros((1 << f.n, 1 << f.n), dtype=np.int64)
-    for b in range(1, 1 << f.n):
-        table[1:, b] = metrics._boomerang_column(f.entries, inv, b)
+    size = 1 << f.n
+    height = max(1, (metrics._BLOCK >> 2) >> f.n)
+    table = np.zeros((size, size), dtype=np.int64)
+    for lo in range(1, size, height):
+        cols = np.arange(lo, min(lo + height, size))
+        table[:, cols] = metrics._boomerang_block(f.entries, inv, cols)[0].T
     return table
 
 
@@ -348,6 +469,25 @@ def test_boomerang_table_in_pair_chunks(monkeypatch):
         half = oracles.differential_table(f.entries)[1:, 1:] // 2
         most = max(most, int((half * (half - 1) // 2).sum(axis=0).max()))
     assert most > small
+
+
+@pytest.mark.parametrize("spec", ["chi_nm:7:6", "chi_nm:8:5", "chi_nm:7:4", "chi_nm:8:7"])
+def test_boomerang_columns_in_blocks(monkeypatch, spec):
+    # at a cap of 2^(n+4), a block holds 4 columns and its pairs run in
+    # chunks of 2^(n+4), fewer than some blocks have, so the chunks cut
+    # through the classes and run from one column into the next
+    f = _table(spec)
+    small = 1 << (f.n + 4)
+    monkeypatch.setattr(metrics, "_BLOCK", small)
+    want = oracles.boomerang_table(f.entries)
+    assert np.array_equal(_bct(f)[1:, 1:], want[1:, 1:]), spec
+    half = oracles.differential_table(f.entries)[1:, 1:] // 2
+    per_column = (half * (half - 1) // 2).sum(axis=0)
+    blocks = [cols for _, cols in metrics._blocks(f, True, small >> 2)]
+    assert max(cols.size for cols in blocks) == 4
+    assert max(int(per_column[cols - 1].sum()) for cols in blocks) > small
+    rep = boomerang_spectrum(f)
+    assert (rep["headline"], dict(rep["spectrum"])) == oracles.spectrum_row("boomerang", f.entries), spec
 
 
 def test_boomerang_memory_capped_by_the_pair_chunks(monkeypatch):
