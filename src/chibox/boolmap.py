@@ -229,23 +229,24 @@ def fixed_points(f):
     return np.flatnonzero(f.entries == np.arange(1 << f.n, dtype=np.int64))
 
 
-def _moebius(words, n):
-    # in-place butterfly, one pass per variable, all coordinates in parallel
-    a = words.copy()
-    for i in range(n):
-        step = 1 << i
-        view = a.reshape(-1, 2, step)
-        view[:, 1, :] ^= view[:, 0, :]
-    return a
-
-
 def anf(f):
     """ANF coefficients of every coordinate at once via the Moebius transform, an int64 array.
 
     Bit i of entry u is the coefficient of the monomial prod_{j in u} x_j in
     output coordinate i, where u is read as a subset of variable indices.
     """
-    return _moebius(f.entries, f.n)
+    # in-place butterfly, one pass per variable, all coordinates in parallel
+    a = f.entries.copy()
+    for i in range(f.n):
+        view = a.reshape(-1, 2, 1 << i)
+        view[:, 1, :] ^= view[:, 0, :]
+    return a
+
+
+def _top_degree(coeffs):
+    """Largest popcount among the indices of the nonzero coeffs, None when every one is zero."""
+    live = np.flatnonzero(coeffs)
+    return int(np.bitwise_count(live).max()) if live.size else None
 
 
 def component_degree(a, mask):
@@ -256,11 +257,7 @@ def component_degree(a, mask):
     """
     if not 0 <= mask < a.size:
         raise ValueError("mask out of range")
-    sel = np.bitwise_count(a & np.int64(mask)) & 1
-    live = np.nonzero(sel)[0]
-    if live.size == 0:
-        return None
-    return int(np.bitwise_count(live.astype(np.int64)).max())
+    return _top_degree(np.bitwise_count(a & np.int64(mask)) & 1)
 
 
 def table_degree(f):
@@ -268,10 +265,7 @@ def table_degree(f):
 
     Returns None for the zero map (degree undefined).
     """
-    live = np.flatnonzero(_moebius(f.entries, f.n))
-    if live.size == 0:
-        return None
-    return int(np.bitwise_count(live).max())
+    return _top_degree(anf(f))
 
 
 def table_to_json(f, family=""):

@@ -214,7 +214,9 @@ def cmd_fixed_points(args):
     thetagroup.check_group(args.n, args.m)
     if k < 0:
         raise ValueError("power must be non-negative")
-    points = boolmap.fixed_points(boolmap.iterate(families.make_chi_nm(args.n, args.m), k))
+    # chi^k = chi^k' for k' = (k-1) mod ord(chi) + 1, >= 1 so the predicate still checks the order
+    reduced = k and (k - 1) % (1 << thetagroup.order_exponent(args.n, args.m)) + 1
+    points = boolmap.fixed_points(boolmap.iterate(families.make_chi_nm(args.n, args.m), reduced))
     pred = None
     if k >= 1 and (k & (k - 1)) == 0:
         pred = thetagroup.predicate_fixed_set(args.n, args.m, k.bit_length() - 1)

@@ -61,10 +61,10 @@ def _theta(n, m, k):
 
 
 def make_chi(n):
-    """chi_n: y_i = x_i + (x_{i+1} + 1) x_{i+2}."""
+    """chi_n = chi_{n,2}: y_i = x_i + (x_{i+1} + 1) x_{i+2}."""
     if n < 3:
         raise ValueError("chi needs n >= 3, got %r" % (n,))
-    return _table(n, [_window(n, [0], []), _window(n, [2], [1])])
+    return make_chi_nm(n, 2)
 
 
 def make_chi_nm(n, m):

@@ -41,11 +41,13 @@ class ThetaComb:
 
 
 def identity_comb(n, m):
+    check_nm(n, m)
     return ThetaComb(n, m, (1,) + (0,) * (n // m))
 
 
 def chi_comb(n, m):
     """chi_{n,m} = theta_0 + theta_{m,1} as a combination."""
+    check_nm(n, m)
     ell = n // m
     if ell < 1:
         raise ValueError("chi_{n,m} needs m <= n")
@@ -58,6 +60,7 @@ def bitstring(c):
 
 def order_exponent(n, m):
     """r with ord(chi_{n,m}) = 2^r, i.e. r = ceil(log2(ell+1))."""
+    check_nm(n, m)
     return (n // m).bit_length()
 
 
@@ -138,13 +141,12 @@ def is_involution(f):
 
 
 def group_pow(f, k):
-    """f composed with itself k times, by binary exponentiation; f^0 is the identity."""
+    """f^k = f^k', k' = (k-1) mod ord(f) + 1, by binary exponentiation; f^0 is the identity."""
     if k < 0:
         raise ValueError("iterate power must be non-negative")
     if k == 0:
         return identity_comb(f.n, f.m)
-    _require_unit(f)
-    return _power(group_mul, f, k)
+    return _power(group_mul, f, (k - 1) % element_order(f) + 1)
 
 
 def iterate_coeffs(n, m, k):
@@ -152,8 +154,7 @@ def iterate_coeffs(n, m, k):
 
     That is the parity of binomial(k, j) by Lucas' theorem, truncated at ell.
     """
-    if n % m == 0:
-        raise ValueError("m must not divide n for chi iterates")
+    check_group(n, m)
     if k < 0:
         raise ValueError("k must be non-negative")
     ell = n // m

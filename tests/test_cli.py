@@ -413,6 +413,22 @@ def test_fixed_points_counts(capsys):
     assert doc["count"] == 48
 
 
+@pytest.mark.parametrize("power, reduced", [(2**13000 + 3, 3), (2**13000, 8), (11, 3)])
+def test_fixed_points_reduce_the_power_by_the_order(capsys, monkeypatch, power, reduced):
+    # chi_{16,3} has order 2^3, so a power of about 3900 digits composes at
+    # most 2*3 tables and reports what its reduced power reports
+    calls = []
+    compose = chibox.boolmap.compose
+    monkeypatch.setattr(chibox.boolmap, "compose", lambda f, g: calls.append(1) or compose(f, g))
+    argv = ("fixed-points", "--n", "16", "--m", "3", "--format", "structured", "--power")
+    rc, out, err = run_cli(capsys, *argv, str(power))
+    assert rc == 0 and err == "" and len(calls) <= 6
+    doc = json.loads(out)
+    assert doc["power"] == power
+    rc, want, _ = run_cli(capsys, *argv, str(reduced))
+    assert rc == 0 and doc == {**json.loads(want), "power": power}
+
+
 def test_fixed_points_internal_error_is_one_line(capsys, monkeypatch):
     # a predicate that disagrees with enumeration is an internal error, exit 3
     monkeypatch.setattr(chibox.thetagroup, "predicate_fixed_set", lambda n, m, j: [])

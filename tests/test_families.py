@@ -45,8 +45,11 @@ def test_chi_small_tables():
 def test_chi_nm_spot_values():
     assert make_chi_nm(5, 3)[8] == 9
     assert make_chi_nm(5, 2) == make_chi(5)
-    for n in range(3, 11):
-        assert make_chi_nm(n, 2) == make_chi(n)
+    # chi_n is built as chi_{n,2}: same windows in the same order, so the same table
+    for n in range(3, 17):
+        assert np.array_equal(make_chi(n).entries, make_chi_nm(n, 2).entries), n
+    with pytest.raises(ValueError, match="chi needs n >= 3, got 2"):
+        make_chi(2)
 
 
 def test_chi_nm_is_theta0_plus_theta1():

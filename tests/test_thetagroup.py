@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import chibox.thetagroup
 from chibox import (
     NonUnitError,
     ThetaComb,
@@ -70,6 +71,13 @@ def test_comb_construction_and_validation():
     [
         (lambda: ThetaComb(0, 3, (1,)), "n must be positive, got 0"),
         (lambda: predicate_fixed_set(8, 3, -1), "j must be non-negative"),
+        # m <= 0 is refused before floor(n/m) is taken
+        (lambda: identity_comb(8, 0), "m must be at least 2, got 0"),
+        (lambda: chi_comb(8, 0), "m must be at least 2, got 0"),
+        (lambda: order_exponent(8, 0), "m must be at least 2, got 0"),
+        (lambda: iterate_coeffs(8, 0, 1), "m must be at least 2, got 0"),
+        (lambda: predicate_fixed_set(8, 0, 1), "m must be at least 2, got 0"),
+        (lambda: order_exponent(8, -3), "m must be at least 2, got -3"),
     ],
 )
 def test_rejects_invalid_input(call, match):
@@ -186,6 +194,30 @@ def test_iterate_coeffs_matches_materialized_powers():
             assert comb_to_table(c) == iterate(chi_table, k), (n, m, k)
 
 
+def test_group_pow_reduces_the_power_by_the_order(monkeypatch):
+    # a seeded random unit and chi itself, raised to a power of about 4000
+    # digits: at most 2*log2(order) products, equal to the reduced power
+    rng = np.random.default_rng(7)
+    n, m = 65, 2
+    unit = ThetaComb(n, m, (1,) + tuple(int(b) for b in rng.integers(0, 2, n // m)))
+    k = int(rng.integers(1, 2**62)) << 13000 | 5
+    calls = []
+    mul = group_mul
+    monkeypatch.setattr(chibox.thetagroup, "group_mul", lambda f, g: calls.append(1) or mul(f, g))
+    for f in (unit, chi_comb(n, m)):
+        order = element_order(f)
+        calls.clear()
+        got = group_pow(f, k)
+        assert len(calls) <= 2 * (order.bit_length() - 1), len(calls)
+        want = identity_comb(n, m)
+        for _ in range((k - 1) % order + 1):
+            want = mul(want, f)
+        assert got == want
+    assert group_pow(chi_comb(n, m), k) == iterate_coeffs(n, m, k)
+    # f^0 is the identity even for a non-unit
+    assert group_pow(ThetaComb(8, 3, (0, 1, 0)), 0) == identity_comb(8, 3)
+
+
 def test_iterate_coeffs_spot_values():
     assert iterate_coeffs(8, 3, 0).coeffs == (1, 0, 0)
     assert iterate_coeffs(8, 3, 1).coeffs == (1, 1, 0)
@@ -193,7 +225,7 @@ def test_iterate_coeffs_spot_values():
     assert iterate_coeffs(8, 3, 4).coeffs == (1, 0, 0)
     # binomial coefficients mod 2: (1+z)^3 = 1 + z + z^2 + z^3
     assert iterate_coeffs(9, 2, 3).coeffs == (1, 1, 1, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must not divide n, got n=6 m=3"):
         iterate_coeffs(6, 3, 2)
     with pytest.raises(ValueError):
         iterate_coeffs(8, 3, -1)
