@@ -41,6 +41,21 @@ class FileFormatError(Exception):
     pass
 
 
+def _int(text):
+    """int(text); a power over the interpreter's int-string digit limit is refused by its length, not echoed."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        digits = sum(ch.isdecimal() for ch in text)
+        msg = "power has %d digits, more than the interpreter's int-string limit of %d"
+        raise argparse.ArgumentTypeError(msg % (digits, sys.get_int_max_str_digits())) from None
+
+
+_int.__name__ = "int"  # argparse's "invalid int value" message names the type
+
+
 METRIC_ORDER = ("ddt", "walsh", "bct", "dlct", "degree", "cycles")
 
 SPECTRUM_FOR = {
@@ -198,7 +213,7 @@ def cmd_group(args):
         text = "involution: %s\n" % ("true" if doc["involution"] else "false")
     elif args.query.startswith("iterate:"):
         try:
-            k = int(args.query.split(":", 1)[1])
+            k = _int(args.query.split(":", 1)[1])
         except ValueError:
             raise UsageError("iterate needs an integer power, got %r" % (args.query,)) from None
         doc["power"] = k
@@ -296,7 +311,7 @@ def _build_parser():
     p = sub.add_parser("fixed-points", help="fixed points of chi_{n,m}^k, two ways")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--power", type=int, required=True)
+    p.add_argument("--power", type=_int, required=True)
     common(p)
     p.set_defaults(func=cmd_fixed_points)
 
@@ -320,7 +335,7 @@ def main(argv=None):
         if args.output:
             _write_out(args.output, boolmap.table_to_json(*table) if table else dump_json(doc))
             text += "wrote: %s\n" % args.output if table else ""
-    except (UsageError, FamilyParseError) as exc:
+    except (UsageError, FamilyParseError, argparse.ArgumentTypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -99,22 +99,18 @@ def _require_same(f, g):
 
 
 def group_mul(f, g):
-    """Product in G_{n,m}: polynomial multiplication truncated mod z^(ell+1).
+    """Product in G_{n,m}: polynomial multiplication truncated mod z^(ell+1), f read as one int.
 
     Materializing the result equals composing the materialized factors.
     """
     _require_same(f, g)
     _require_unit(f)
     _require_unit(g)
-    ell = f.ell
-    out = [0] * (ell + 1)
-    for i, a in enumerate(f.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if b and i + j <= ell:
-                out[i + j] ^= 1
-    return ThetaComb(f.n, f.m, tuple(out))
+    a, out = int(bitstring(f)[::-1], 2), 0
+    for j, b in enumerate(g.coeffs):
+        if b:
+            out ^= a << j
+    return ThetaComb(f.n, f.m, format(out & ((2 << f.ell) - 1), "0%db" % (f.ell + 1))[::-1])
 
 
 def group_inverse(f):

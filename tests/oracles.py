@@ -26,7 +26,11 @@ per entry, the reference for chibox.boolmap.table_from_json, which reads
 documents in dump_json's layout with one binascii.unhexlify call.  windowed, theta and cchi build the
 family tables on full words, one rotated copy of x per window offset and one
 bit extraction per branch literal: the references for the half-word product
-terms of chibox.families.
+terms of chibox.families.  group_mul multiplies two unit combinations
+coefficient by coefficient, the O(ell^2) double loop over coefficient
+tuples that chibox.thetagroup.group_mul replaces by shifts of one int, and
+group_pow raises a unit to a power by square-and-multiply over it, with no
+reduction by the order.
 """
 
 import json
@@ -34,6 +38,7 @@ import json
 import numpy as np
 
 from chibox.boolmap import TruthTable, _check_n
+from chibox.thetagroup import ThetaComb, identity_comb
 
 
 def _dot(u, v):
@@ -235,3 +240,28 @@ def cchi(n):
     put(2 * k - 2, b(2 * k - 2) ^ (nb(2 * k - 1) & b(k - 1)))
     put(2 * k - 1, b(2 * k - 1) ^ (nb(k - 1) & b(k)))
     return TruthTable(n, y)
+
+
+def group_mul(f, g):
+    """Product of two combinations of the same (n, m), truncated mod z^(ell+1)."""
+    ell = f.ell
+    out = [0] * (ell + 1)
+    for i, a in enumerate(f.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(g.coeffs):
+            if b and i + j <= ell:
+                out[i + j] ^= 1
+    return ThetaComb(f.n, f.m, tuple(out))
+
+
+def group_pow(f, k):
+    """f^k for k >= 0 by square-and-multiply over group_mul."""
+    acc = identity_comb(f.n, f.m)
+    while k:
+        if k & 1:
+            acc = group_mul(acc, f)
+        k >>= 1
+        if k:
+            f = group_mul(f, f)
+    return acc

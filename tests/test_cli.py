@@ -429,6 +429,23 @@ def test_fixed_points_reduce_the_power_by_the_order(capsys, monkeypatch, power, 
     assert rc == 0 and doc == {**json.loads(want), "power": power}
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
+def test_powers_over_the_int_string_limit_are_refused_by_length(capsys):
+    # one digit over the interpreter's limit: one short line that names the
+    # limit and the digit count, not the digits; at the limit the power is read
+    limit = sys.get_int_max_str_digits()
+    over = "1" + "0" * limit
+    for argv in (
+        ("fixed-points", "--n", "8", "--m", "3", "--power", over),
+        ("group", "--n", "8", "--m", "3", "--coeffs", "110", "iterate:" + over),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "" and err.count("\n") == 1 and len(err) < 200, err
+        assert err.startswith("error: ") and str(limit) in err and str(limit + 1) in err
+    rc, out, err = run_cli(capsys, "fixed-points", "--n", "8", "--m", "3", "--power", "1" + "0" * (limit - 1))
+    assert rc == 0 and err == ""
+
+
 def test_fixed_points_internal_error_is_one_line(capsys, monkeypatch):
     # a predicate that disagrees with enumeration is an internal error, exit 3
     monkeypatch.setattr(chibox.thetagroup, "predicate_fixed_set", lambda n, m, j: [])

@@ -33,6 +33,7 @@ from chibox import (
 )
 
 import golden
+import oracles
 from oracles import fixed_point_predicate
 
 
@@ -120,6 +121,9 @@ def test_group_mul_matches_composition():
             ab = group_mul(a, b)
             assert comb_to_table(ab) == compose(comb_to_table(a), comb_to_table(b))
             assert ab.coeffs == group_mul(b, a).coeffs
+        # every pair of units against the coefficient-by-coefficient product
+        for a, b in itertools.product(all_units(n, m), repeat=2):
+            assert group_mul(a, b).coeffs == oracles.group_mul(a, b).coeffs, (n, m, a.coeffs, b.coeffs)
 
 
 def test_group_inverse_exhaustive():
@@ -130,6 +134,23 @@ def test_group_inverse_exhaustive():
             assert group_mul(c, inv).coeffs == ident.coeffs
             assert group_mul(inv, c).coeffs == ident.coeffs
             assert comb_to_table(inv) == invert(comb_to_table(c))
+
+
+@pytest.mark.parametrize("n, m", [(1025, 2), (4099, 5), (16385, 2)])
+def test_group_laws_at_large_ell(n, m):
+    # a seeded random unit of ell up to 8192: inverse on both sides, the
+    # order reaches the identity and half the order does not
+    rng = np.random.default_rng(n)
+    u = ThetaComb(n, m, (1,) + tuple(int(b) for b in rng.integers(0, 2, n // m)))
+    ident = identity_comb(n, m)
+    inv = group_inverse(u)
+    assert group_mul(u, inv) == ident and group_mul(inv, u) == ident
+    order = element_order(u)
+    assert group_pow(u, order) == ident
+    if order > 1:
+        assert group_pow(u, order // 2) != ident
+    if n == 1025:
+        assert group_pow(u, 12345) == oracles.group_pow(u, 12345)
 
 
 def test_comb_degree_equals_the_materialized_degree():
